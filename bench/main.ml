@@ -119,6 +119,21 @@ let micro () =
       (Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst ~dst_router:router
          ~route:(Rofl_core.Sourceroute.singleton router))
   done;
+  (* Steady-state eviction traffic: a full 1,024-entry cache fed 2,048
+     distinct pointers round-robin, so every insert misses and evicts the
+     least recently used entry. *)
+  let evict_cache = Rofl_core.Pointer_cache.create ~capacity:1024 in
+  let evict_ptrs =
+    let erng = Rofl_util.Prng.create 0xe71c7 in
+    Array.init 2048 (fun i ->
+        let router = i mod Rofl_topology.Graph.n isp.Rofl_topology.Isp.graph in
+        Rofl_core.Pointer.make Rofl_core.Pointer.Cached ~dst:(Id.random erng)
+          ~dst_router:router ~route:(Rofl_core.Sourceroute.singleton router))
+  in
+  for i = 0 to 1023 do
+    Rofl_core.Pointer_cache.insert evict_cache evict_ptrs.(i)
+  done;
+  let evict_i = ref 1024 in
   let chord = Rofl_baselines.Chord.create ~succ_group:4 ~finger_rows:128 in
   let members = Array.init 2048 (fun _ -> Id.random rng) in
   Array.iter (fun id -> ignore (Rofl_baselines.Chord.join chord id)) members;
@@ -176,6 +191,11 @@ let micro () =
       Test.make ~name:"cache-best-match"
         (Staged.stage (fun () ->
              ignore (Rofl_core.Pointer_cache.best_match cache ~cur:id_a ~target:id_b)));
+      Test.make ~name:"cache-insert-evict"
+        (Staged.stage (fun () ->
+             let i = !evict_i land 2047 in
+             incr evict_i;
+             Rofl_core.Pointer_cache.insert evict_cache (Array.unsafe_get evict_ptrs i)));
       Test.make ~name:"chord-lookup-2k"
         (Staged.stage (fun () ->
              ignore (Rofl_baselines.Chord.lookup chord ~from:members.(0) id_b)));

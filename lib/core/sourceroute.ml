@@ -12,9 +12,9 @@ let origin = function
   | r :: _ -> r
   | [] -> invalid_arg "Sourceroute.origin: empty"
 
-let destination t =
-  match List.rev t with
-  | r :: _ -> r
+let rec destination = function
+  | [ r ] -> r
+  | _ :: rest -> destination rest
   | [] -> invalid_arg "Sourceroute.destination: empty"
 
 let length t = List.length t - 1

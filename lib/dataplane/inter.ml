@@ -1,7 +1,7 @@
 module Id = Rofl_idspace.Id
-module Ring = Rofl_idspace.Ring
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
+module Cursor = Pointer_cache.Cursor
 module Msg = Rofl_core.Msg
 module Charge = Rofl_routing.Charge
 module Asgraph = Rofl_asgraph.Asgraph
@@ -125,31 +125,33 @@ let record_purge t i a id =
   t.wl_n <- t.wl_n + 1
 
 (* [Pointer_cache.best_match ~cur:pos ~target:dst] over this lookup's
-   prune-adjusted index: exact hit first (no interval gate — the target
+   prune-adjusted cache: exact hit first (no interval gate — the target
    trivially qualifies), else the ring predecessor of [dst], gated by
    [between_incl pos _ dst].  Only the first surviving predecessor is
-   considered, exactly like [Ring.predecessor] on the pruned index. *)
+   considered, exactly like [Cursor.lt] on the pruned cache. *)
 let best_match_pure t i as_idx ~pos ~dst =
-  let ring = Pointer_cache.ring_index t.net.Net.caches.(as_idx) in
-  match Ring.find dst ring with
-  | Some p when not (purged_has t i as_idx dst) -> Some p
-  | _ ->
+  let cache = t.net.Net.caches.(as_idx) in
+  let cf = Cursor.find cache dst in
+  if (not (Cursor.is_none cf)) && not (purged_has t i as_idx dst) then
+    Some (Cursor.value_at cache cf)
+  else begin
     let rec scan start c steps =
-      if Ring.cursor_is_none c then None
+      if Cursor.is_none c then None
       else begin
-        let id = Ring.id_at ring c in
+        let id = Cursor.id_at cache c in
         if not (purged_has t i as_idx id) then
-          if Id.between_incl pos id dst then Some (Ring.value_at ring c)
+          if Id.between_incl pos id dst then Some (Cursor.value_at cache c)
           else None
         else begin
-          let c' = Ring.cursor_prev ring c in
-          if Ring.cursor_equal c' start || steps > Ring.cardinal ring then None
+          let c' = Cursor.prev cache c in
+          if Cursor.equal c' start || steps > Pointer_cache.length cache then None
           else scan start c' (steps + 1)
         end
       end
     in
-    let start = Ring.cursor_lt dst ring in
+    let start = Cursor.lt cache dst in
     scan start start 0
+  end
 
 (* {!Route}'s [cache_candidate] without the eager prune: a dead or moved
    entry yields [None] for this lookup (recorded so later probes of the

@@ -3,6 +3,7 @@ module Ring = Rofl_idspace.Ring
 module Vnode = Rofl_core.Vnode
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
+module Cursor = Pointer_cache.Cursor
 module Sourceroute = Rofl_core.Sourceroute
 module Msg = Rofl_core.Msg
 module Graph = Rofl_topology.Graph
@@ -235,42 +236,40 @@ let rec scan_residents t i cur healthy = function
     end;
     scan_residents t i cur healthy tl
 
-(* Predecessor scan over the cache's ring index skipping entries this
-   lookup has (virtually) pruned — what [Ring.predecessor] would return had
-   the prunes been applied.  Wrap-bounded: after [excl_cap] skips, or once
-   back at the start, the pruned index holds nothing eligible. *)
-let rec skip_pruned t i cur ring start c steps =
-  if Ring.cursor_is_none c then c
-  else if not (excluded t i ex_cache cur (Ring.id_at ring c)) then c
-  else if steps >= t.excl_cap then Ring.cursor_none
+(* Predecessor scan over the cache's ring order skipping entries this
+   lookup has (virtually) pruned — what [Cursor.lt] would return had the
+   prunes been applied.  Wrap-bounded: after [excl_cap] skips, or once back
+   at the start, the pruned cache holds nothing eligible. *)
+let rec skip_pruned t i cur cache start c steps =
+  if Cursor.is_none c then c
+  else if not (excluded t i ex_cache cur (Cursor.id_at cache c)) then c
+  else if steps >= t.excl_cap then Cursor.none
   else begin
-    let c' = Ring.cursor_prev ring c in
-    if Ring.cursor_equal c' start then Ring.cursor_none
-    else skip_pruned t i cur ring start c' (steps + 1)
+    let c' = Cursor.prev cache c in
+    if Cursor.equal c' start then Cursor.none
+    else skip_pruned t i cur cache start c' (steps + 1)
   end
 
 (* [Pointer_cache.best_match ~cur:target ~target] over the prune-adjusted
-   index: exact hit first, else the ring predecessor of the target (the
+   cache: exact hit first, else the ring predecessor of the target (the
    [between_incl target _ target] acceptance is the full ring, so any
    predecessor qualifies).  LRU recency is deliberately not touched — the
    data plane is read-only; recency only influences later control-plane
    evictions, never a lookup's own result. *)
 let cache_probe t i cur healthy =
   let target = t.target.(i) in
-  let ring =
-    Pointer_cache.ring_index t.net.Network.routers.(cur).Network.cache
-  in
+  let cache = t.net.Network.routers.(cur).Network.cache in
   let c =
-    let cf = Ring.cursor_find target ring in
-    if (not (Ring.cursor_is_none cf)) && not (excluded t i ex_cache cur target)
+    let cf = Cursor.find cache target in
+    if (not (Cursor.is_none cf)) && not (excluded t i ex_cache cur target)
     then cf
     else begin
-      let start = Ring.cursor_lt target ring in
-      skip_pruned t i cur ring start start 0
+      let start = Cursor.lt cache target in
+      skip_pruned t i cur cache start start 0
     end
   in
-  if not (Ring.cursor_is_none c) then begin
-    let p = Ring.value_at ring c in
+  if not (Cursor.is_none c) then begin
+    let p = Cursor.value_at cache c in
     if
       p.Pointer.dst_router <> cur
       && (healthy || Sourceroute.is_valid t.net.Network.ls p.Pointer.route)

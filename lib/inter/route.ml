@@ -114,16 +114,19 @@ let cache_candidate (t : Net.t) as_idx ~pos ~dst =
     in
     if dst_below || fp_conservatism then None
     else
-      match Pointer_cache.best_match t.Net.caches.(as_idx) ~cur:pos ~target:dst with
-      | Some (p : Pointer.t) ->
-        (match Hashtbl.find_opt t.Net.hosts p.Pointer.dst with
-         | Some ch when ch.Net.alive_h && ch.Net.home_as = p.Pointer.dst_router
-                        && Id.between_incl pos p.Pointer.dst dst ->
-           Some (p.Pointer.dst, ch)
-         | Some _ | None ->
-           Pointer_cache.remove t.Net.caches.(as_idx) p.Pointer.dst;
-           None)
-      | None -> None
+      let cache = t.Net.caches.(as_idx) in
+      let c = Pointer_cache.best_match cache ~cur:pos ~target:dst in
+      if Pointer_cache.Cursor.is_none c then None
+      else begin
+        let p = Pointer_cache.Cursor.value_at cache c in
+        match Hashtbl.find_opt t.Net.hosts p.Pointer.dst with
+        | Some ch when ch.Net.alive_h && ch.Net.home_as = p.Pointer.dst_router
+                       && Id.between_incl pos p.Pointer.dst dst ->
+          Some (p.Pointer.dst, ch)
+        | Some _ | None ->
+          Pointer_cache.remove cache p.Pointer.dst;
+          None
+      end
   end
 
 let charge_move (t : Net.t) level a b =

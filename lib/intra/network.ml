@@ -302,11 +302,12 @@ module Lookup_substrate = struct
         end)
       r.residents;
     if st.use_cache then begin
-      match Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target with
-      | Some p ->
+      let c = Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target in
+      if not (Pointer_cache.Cursor.is_none c) then begin
+        let p = Pointer_cache.Cursor.value_at r.cache c in
         if p.Pointer.dst_router <> r.idx && route_valid p.Pointer.route then
           consider (Remote p)
-      | None -> ()
+      end
     end;
     List.rev !acc
 
@@ -430,21 +431,20 @@ let cache_route_to t id dst_router visited =
   if t.cfg.cache_control_paths && t.cfg.cache_capacity > 0 then begin
     let rec go = function
       | [] -> ()
-      | r :: rest ->
+      | r :: rest as suffix ->
         if r <> dst_router then begin
-          let suffix = r :: rest in
-          (* The visited list must end at dst_router for the suffix to be a
-             usable source route. *)
-          match List.rev suffix with
-          | last :: _ when last = dst_router ->
-            let route = Sourceroute.of_hops suffix in
-            let p = Pointer.make Pointer.Cached ~dst:id ~dst_router ~route in
-            Pointer_cache.insert t.routers.(r).cache p
-          | _ -> ()
+          let route = Sourceroute.of_hops suffix in
+          let p = Pointer.make Pointer.Cached ~dst:id ~dst_router ~route in
+          Pointer_cache.insert t.routers.(r).cache p
         end;
         go rest
     in
-    go visited
+    (* A suffix is a usable source route only if it ends at dst_router, and
+       every suffix ends where [visited] does. *)
+    match visited with
+    | [] -> ()
+    | _ :: _ ->
+      if Sourceroute.destination (Sourceroute.of_hops visited) = dst_router then go visited
   end
 
 (* -- repairs ------------------------------------------------------------ *)
@@ -704,17 +704,12 @@ let leave_host t id =
      | (p : Pointer.t) :: _ -> Hashtbl.remove t.routers.(p.Pointer.dst_router).attachments id
      | [] -> ());
     (* Directed flood clearing cached state for this identifier. *)
-    let flooded = Hashtbl.create 16 in
     Array.iter
       (fun r' ->
-        match Pointer_cache.find r'.cache id with
-        | Some _ ->
-          if not (Hashtbl.mem flooded r'.idx) then begin
-            Hashtbl.add flooded r'.idx ();
-            let _ = charge_spf t Msg.directed_flood gateway r'.idx in
-            Pointer_cache.remove r'.cache id
-          end
-        | None -> ())
+        if Pointer_cache.mem r'.cache id then begin
+          let _ = charge_spf t Msg.directed_flood gateway r'.idx in
+          Pointer_cache.remove r'.cache id
+        end)
       t.routers;
     (* Neighbours repair around the gap.  Tear-downs go to every ring
        member that may hold group state for the departed identifier — the

@@ -140,26 +140,34 @@ let test_vnode_classes () =
 
 let cptr i router = ptr Pointer.Cached i router
 
+let as_option c cursor =
+  if Pointer_cache.Cursor.is_none cursor then None
+  else Some (Pointer_cache.Cursor.value_at c cursor)
+
+let cache_best_match c ~cur ~target = as_option c (Pointer_cache.best_match c ~cur ~target)
+
 let test_cache_insert_find () =
   let c = Pointer_cache.create ~capacity:4 in
   Pointer_cache.insert c (cptr 10 1);
   Pointer_cache.insert c (cptr 20 2);
-  Alcotest.(check bool) "find" true (Pointer_cache.find c (id 10) <> None);
+  Alcotest.(check bool) "find" true (Pointer_cache.mem c (id 10));
+  Alcotest.(check bool) "find" true
+    (as_option c (Pointer_cache.find c (id 10)) <> None);
   Alcotest.(check int) "length" 2 (Pointer_cache.length c)
 
 let test_cache_best_match () =
   let c = Pointer_cache.create ~capacity:8 in
   List.iter (fun i -> Pointer_cache.insert c (cptr i i)) [ 10; 20; 30; 40 ];
   (* Closest not past 35 is 30. *)
-  (match Pointer_cache.best_match c ~cur:(id 5) ~target:(id 35) with
+  (match cache_best_match c ~cur:(id 5) ~target:(id 35) with
    | Some p -> Alcotest.(check bool) "closest not past" true (Id.equal p.Pointer.dst (id 30))
    | None -> Alcotest.fail "expected match");
   (* Exact hit wins. *)
-  (match Pointer_cache.best_match c ~cur:(id 5) ~target:(id 20) with
+  (match cache_best_match c ~cur:(id 5) ~target:(id 20) with
    | Some p -> Alcotest.(check bool) "exact" true (Id.equal p.Pointer.dst (id 20))
    | None -> Alcotest.fail "expected exact match");
   (* Nothing in (cur, target]: no match. *)
-  (match Pointer_cache.best_match c ~cur:(id 41) ~target:(id 45) with
+  (match cache_best_match c ~cur:(id 41) ~target:(id 45) with
    | None -> ()
    | Some _ -> Alcotest.fail "nothing in interval")
 
@@ -167,7 +175,7 @@ let test_cache_best_match_wraparound () =
   let c = Pointer_cache.create ~capacity:4 in
   Pointer_cache.insert c (cptr 250 1);
   (* Target 5 with cur 200: 250 is in (200, 5] across the wrap. *)
-  (match Pointer_cache.best_match c ~cur:(id 200) ~target:(id 5) with
+  (match cache_best_match c ~cur:(id 200) ~target:(id 5) with
    | Some p -> Alcotest.(check bool) "wraps" true (Id.equal p.Pointer.dst (id 250))
    | None -> Alcotest.fail "expected wrap match")
 
@@ -177,7 +185,7 @@ let test_cache_eviction_syncs_index () =
   Pointer_cache.insert c (cptr 20 2);
   Pointer_cache.insert c (cptr 30 3) (* evicts 10 *);
   Alcotest.(check int) "capacity respected" 2 (Pointer_cache.length c);
-  (match Pointer_cache.best_match c ~cur:(id 5) ~target:(id 15) with
+  (match cache_best_match c ~cur:(id 5) ~target:(id 15) with
    | None -> ()
    | Some _ -> Alcotest.fail "evicted entry still matched")
 
@@ -203,7 +211,7 @@ let test_cache_zero_capacity () =
   Pointer_cache.insert c (cptr 1 1);
   Alcotest.(check int) "stores nothing" 0 (Pointer_cache.length c);
   Alcotest.(check bool) "no match" true
-    (Pointer_cache.best_match c ~cur:(id 0) ~target:(id 5) = None)
+    (cache_best_match c ~cur:(id 0) ~target:(id 5) = None)
 
 let prop_cache_best_match_correct =
   QCheck.Test.make ~name:"best_match = brute force over cache contents" ~count:300
@@ -225,12 +233,81 @@ let prop_cache_best_match_correct =
           None entries
       in
       let got =
-        Pointer_cache.best_match c ~cur:target ~target |> Option.map (fun p -> p.Pointer.dst)
+        cache_best_match c ~cur:target ~target |> Option.map (fun p -> p.Pointer.dst)
       in
       match (expected, got) with
       | Some e, Some g -> Id.equal e g
       | None, None -> true
       | _ -> false)
+
+(* Golden pin of cache behaviour inside a live network: after a fixed
+   join/lookup/leave trace on a 30-router net with 4-entry caches (small
+   enough that eviction order decides later answers), digest every
+   router's cache in MRU order and then every [best_match] answer over a
+   fixed probe set.  Recorded before the cache was rebuilt as one flat
+   structure; any drift in recency, eviction or best-match choice moves
+   the digest. *)
+
+module Network = Rofl_intra.Network
+
+let cache_trace_digest () =
+  let rng = Prng.create 4242 in
+  let g = Gen.waxman rng ~n:30 ~alpha:0.4 ~beta:0.2 in
+  let cfg = { Network.default_config with Network.cache_capacity = 4 } in
+  let net = Network.create ~cfg ~rng g in
+  let n = Rofl_topology.Graph.n g in
+  let joined = ref [] in
+  for _ = 1 to 60 do
+    match Network.join_fresh_host net ~gateway:(Prng.int rng n) ~cls:Vnode.Stable with
+    | Ok (hid, _) -> joined := hid :: !joined
+    | Error _ -> ()
+  done;
+  let members = Array.of_list (List.rev !joined) in
+  let lookups k =
+    for i = 1 to k do
+      let target =
+        if i mod 4 = 0 then Id.random rng else members.(Prng.int rng (Array.length members))
+      in
+      ignore
+        (Network.lookup net ~from:(Prng.int rng n) ~target ~category:"lookup"
+           ~use_cache:true)
+    done
+  in
+  lookups 200;
+  Array.iteri
+    (fun i hid -> if i mod 5 = 0 then ignore (Network.leave_host net hid))
+    members;
+  lookups 100;
+  let buf = Buffer.create 4096 in
+  let add_ptr (p : Pointer.t) =
+    Buffer.add_string buf (Id.to_hex p.Pointer.dst);
+    Buffer.add_string buf
+      (Printf.sprintf "@%d[%s];" p.Pointer.dst_router
+         (String.concat "," (List.map string_of_int (Sourceroute.hops p.Pointer.route))))
+  in
+  Array.iter
+    (fun (r : Network.router) ->
+      Buffer.add_string buf (Printf.sprintf "r%d:" r.Network.idx);
+      Pointer_cache.iter r.Network.cache add_ptr;
+      Buffer.add_char buf '\n')
+    net.Network.routers;
+  let probes = Array.init 40 (fun _ -> Id.random rng) in
+  Array.iter
+    (fun (r : Network.router) ->
+      Array.iteri
+        (fun i target ->
+          let cur = if i mod 2 = 0 then target else probes.((i + 7) mod 40) in
+          match cache_best_match r.Network.cache ~cur ~target with
+          | Some p -> add_ptr p
+          | None -> Buffer.add_string buf "-;")
+        probes;
+      Pointer_cache.iter r.Network.cache add_ptr;
+      Buffer.add_char buf '\n')
+    net.Network.routers;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_cache_golden_trace () =
+  Alcotest.(check string) "cache trace digest" "2959a99a11719487260def15bb44b5b6" (cache_trace_digest ())
 
 (* ---------- Wire ---------- *)
 
@@ -350,6 +427,7 @@ let () =
           Alcotest.test_case "resize" `Quick test_cache_resize;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           q prop_cache_best_match_correct;
+          Alcotest.test_case "golden trace digest" `Quick test_cache_golden_trace;
         ] );
       ( "wire",
         [

@@ -1,8 +1,10 @@
-(* Model-based testing of Rofl_util.Lru against a naive assoc-list
-   reference, plus the Pointer_cache LRU/ring-index agreement audit under
-   random workloads.  The LRU backs every pointer cache on the hot lookup
-   path, so a recency or eviction bug here quietly reshapes stretch
-   numbers everywhere — worth a real model, not just point tests. *)
+(* Model-based testing of the bounded caches against naive list
+   references: Rofl_util.Lru (which backs the resolver cache) against an
+   assoc list, and Pointer_cache against an MRU-ordered list plus a sorted
+   set, with its recency/sorted-index audit under random workloads.  The
+   pointer cache sits on the hot lookup path, so a recency or eviction bug
+   there quietly reshapes stretch numbers everywhere — worth a real model,
+   not just point tests. *)
 
 module Lru = Rofl_util.Lru
 module Prng = Rofl_util.Prng
@@ -137,7 +139,191 @@ let prop_lru_matches_model =
           && Lru.length c = List.length m.entries)
         ops)
 
-(* ---- Pointer_cache: LRU and ring index stay in agreement ---------------- *)
+(* ---- Pointer_cache vs an MRU list plus a sorted set ---------------------- *)
+
+(* Twelve identifiers in three key-tie groups: ids sharing the high word
+   share [Id.key], so the sorted index's [Id.compare] tie-break is
+   exercised on every operation. *)
+let pool =
+  Array.init 12 (fun i ->
+      let hi = [| 0x1000_0000_0000_0000L; 0x7fff_0000_0000_0000L; 0xf000_0000_0000_0000L |] in
+      Id.of_int64_pair hi.(i mod 3) (Int64.of_int (i / 3)))
+
+let pool_ptr k router =
+  Pointer.make Pointer.Cached ~dst:pool.(k) ~dst_router:router
+    ~route:(Sourceroute.singleton router)
+
+type pm = { mutable p_cap : int; mutable mru : Pointer.t list; mutable sorted : Id.t list }
+
+let pm_remove m x =
+  m.mru <- List.filter (fun (p : Pointer.t) -> not (Id.equal p.Pointer.dst x)) m.mru;
+  m.sorted <- List.filter (fun y -> not (Id.equal y x)) m.sorted
+
+let pm_promote m x =
+  match List.find_opt (fun (p : Pointer.t) -> Id.equal p.Pointer.dst x) m.mru with
+  | Some p ->
+    m.mru <- p :: List.filter (fun (q : Pointer.t) -> q != p) m.mru;
+    Some p
+  | None -> None
+
+let pm_truncate m =
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+  in
+  m.mru <- take m.p_cap m.mru;
+  m.sorted <-
+    List.filter
+      (fun x -> List.exists (fun (p : Pointer.t) -> Id.equal p.Pointer.dst x) m.mru)
+      m.sorted
+
+let last l = List.nth l (List.length l - 1)
+
+let pm_insert m (p : Pointer.t) =
+  if m.p_cap > 0 then begin
+    let x = p.Pointer.dst in
+    if List.exists (fun y -> Id.equal y x) m.sorted then begin
+      pm_remove m x;
+      m.mru <- p :: m.mru
+    end
+    else begin
+      if List.length m.mru >= m.p_cap then pm_remove m (last m.mru).Pointer.dst;
+      m.mru <- p :: m.mru
+    end;
+    m.sorted <- List.sort_uniq Id.compare (x :: m.sorted)
+  end
+
+(* Exact hit, else the largest member below target (wrapping to the
+   maximum), gated by [between_incl cur _ target]. *)
+let pm_best_match m ~cur ~target =
+  if List.exists (fun y -> Id.equal y target) m.sorted then pm_promote m target
+  else
+    match m.sorted with
+    | [] -> None
+    | _ ->
+      let below = List.filter (fun y -> Id.compare y target < 0) m.sorted in
+      let pred = last (if below = [] then m.sorted else below) in
+      if Id.between_incl cur pred target then pm_promote m pred else None
+
+type pop =
+  | P_insert of int * int
+  | P_find of int
+  | P_mem of int
+  | P_best of int * int
+  | P_remove of int
+  | P_drop_odd
+  | P_resize of int
+  | P_clear
+  | P_iter
+
+let pop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun k r -> P_insert (k, r)) (int_bound 11) (int_bound 3));
+        (2, map (fun k -> P_find k) (int_bound 11));
+        (1, map (fun k -> P_mem k) (int_bound 11));
+        (4, map2 (fun a b -> P_best (a, b)) (int_bound 11) (int_bound 11));
+        (2, map (fun k -> P_remove k) (int_bound 11));
+        (1, return P_drop_odd);
+        (1, map (fun c -> P_resize c) (int_bound 8));
+        (1, return P_clear);
+        (1, return P_iter);
+      ])
+
+let pop_print = function
+  | P_insert (k, r) -> Printf.sprintf "insert %d@%d" k r
+  | P_find k -> Printf.sprintf "find %d" k
+  | P_mem k -> Printf.sprintf "mem %d" k
+  | P_best (a, b) -> Printf.sprintf "best %d->%d" a b
+  | P_remove k -> Printf.sprintf "remove %d" k
+  | P_drop_odd -> "drop-odd"
+  | P_resize c -> Printf.sprintf "resize %d" c
+  | P_clear -> "clear"
+  | P_iter -> "iter"
+
+let pops_arb =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map pop_print ops)))
+    QCheck.Gen.(pair (int_bound 8) (list_size (int_bound 80) pop_gen))
+
+let as_option c cursor =
+  if Pointer_cache.Cursor.is_none cursor then None
+  else Some (Pointer_cache.Cursor.value_at c cursor)
+
+let same_ptr a b =
+  match (a, b) with
+  | Some (p : Pointer.t), Some q -> p == q
+  | None, None -> true
+  | _ -> false
+
+let cache_mru c =
+  let acc = ref [] in
+  Pointer_cache.iter c (fun p -> acc := p :: !acc);
+  List.rev !acc
+
+(* Ring order read back through the cursors: from the maximum ([lt] of
+   zero wraps there) stepping [prev] down to the minimum. *)
+let cache_sorted c =
+  let n = Pointer_cache.length c in
+  let rec go acc cur k =
+    if k = 0 then acc
+    else go (Pointer_cache.Cursor.id_at c cur :: acc) (Pointer_cache.Cursor.prev c cur) (k - 1)
+  in
+  if n = 0 then [] else go [] (Pointer_cache.Cursor.lt c Id.zero) n
+
+let pstep c m = function
+  | P_insert (k, r) ->
+    let p = pool_ptr k r in
+    Pointer_cache.insert c p;
+    pm_insert m p;
+    true
+  | P_find k -> same_ptr (as_option c (Pointer_cache.find c pool.(k))) (pm_promote m pool.(k))
+  | P_mem k ->
+    Pointer_cache.mem c pool.(k) = List.exists (fun y -> Id.equal y pool.(k)) m.sorted
+  | P_best (a, b) ->
+    same_ptr
+      (as_option c (Pointer_cache.best_match c ~cur:pool.(a) ~target:pool.(b)))
+      (pm_best_match m ~cur:pool.(a) ~target:pool.(b))
+  | P_remove k ->
+    Pointer_cache.remove c pool.(k);
+    pm_remove m pool.(k);
+    true
+  | P_drop_odd ->
+    let odd (p : Pointer.t) = p.Pointer.dst_router mod 2 = 1 in
+    let dropped = Pointer_cache.drop_if c odd in
+    let victims = List.filter odd m.mru in
+    List.iter (fun (p : Pointer.t) -> pm_remove m p.Pointer.dst) victims;
+    dropped = List.length victims
+  | P_resize cap ->
+    Pointer_cache.resize c ~capacity:cap;
+    m.p_cap <- cap;
+    pm_truncate m;
+    Pointer_cache.capacity c = cap
+  | P_clear ->
+    Pointer_cache.clear c;
+    m.mru <- [];
+    m.sorted <- [];
+    true
+  | P_iter -> List.length (cache_mru c) = List.length m.mru
+
+let prop_pointer_cache_matches_model =
+  QCheck.Test.make ~name:"Pointer_cache agrees with the MRU-list + sorted-set model"
+    ~count:500 pops_arb (fun (cap, ops) ->
+      let c = Pointer_cache.create ~capacity:cap in
+      let m = { p_cap = cap; mru = []; sorted = [] } in
+      List.for_all
+        (fun op ->
+          pstep c m op
+          && List.length (cache_mru c) = List.length m.mru
+          && List.for_all2 ( == ) (cache_mru c) m.mru
+          && List.equal Id.equal (cache_sorted c) m.sorted
+          && Pointer_cache.length c = List.length m.mru
+          && Pointer_cache.audit c = [])
+        ops)
+
+(* ---- Pointer_cache: recency list and sorted index stay in agreement ------ *)
 
 let ptr rng =
   let router = Prng.int rng 32 in
@@ -264,6 +450,7 @@ let () =
       ( "model",
         [
           QCheck_alcotest.to_alcotest prop_lru_matches_model;
+          QCheck_alcotest.to_alcotest prop_pointer_cache_matches_model;
           QCheck_alcotest.to_alcotest prop_pointer_cache_agreement;
           QCheck_alcotest.to_alcotest prop_resolver_matches_model;
         ] );
