@@ -340,9 +340,10 @@ let shard_bench quick =
 (* ---------------- batched data-plane throughput ---------------- *)
 
 (* Lookups/sec of the batched forwarding engine against the per-lookup
-   drivers it replaces, across the three layers that expose it: the
-   intradomain engine (with a batch-size sweep showing the batching knee),
-   the interdomain engine, and the protocol engine's pure-read walk.
+   drivers it replaces: the intradomain engine (with a batch-size sweep
+   showing the batching knee) and the protocol engine's pure-read walk.
+   The interdomain walk has no batched twin; [route_from] is timed per
+   lookup for the cross-layer comparison.
    Before anything is timed, every batched verdict is checked byte-identical
    to the sequential reference — a throughput number from a wrong data
    plane is worthless, so a mismatch exits 1.  Bechamel measures ns and
@@ -369,7 +370,6 @@ let dataplane_bench (scale : E.Common.scale) quick =
   let module Route = Rofl_inter.Route in
   let module Proto = Rofl_proto.Proto in
   let module Dintra = Rofl_dataplane.Intra in
-  let module Dinter = Rofl_dataplane.Inter in
   let gate_fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -477,19 +477,6 @@ let dataplane_bench (scale : E.Common.scale) quick =
         if k mod 5 = 4 then Id.random rng
         else ihosts.(((k * 7) + 3) mod Array.length ihosts).Net.id)
   in
-  let di = Dinter.create inet in
-  Dinter.run di ~srcs:isrcs ~dsts:idsts;
-  let inter_passes = Dinter.passes di in
-  for k = 0 to itotal - 1 do
-    let r = Route.route_from inet ~src:isrcs.(k) ~dst:idsts.(k) in
-    if
-      Dinter.delivered di k <> r.Route.delivered
-      || Dinter.as_hops di k <> r.Route.as_hops
-      || Dinter.pointer_hops di k <> r.Route.pointer_hops
-      || Dinter.cache_hops di k <> r.Route.cache_hops
-    then gate_fail "inter lookup %d: engine/route_from diverge" k;
-    Dinter.apply_purges di
-  done;
   let inter_tests =
     [
       Test.make ~name:"inter-route-driver"
@@ -497,8 +484,6 @@ let dataplane_bench (scale : E.Common.scale) quick =
              for k = 0 to itotal - 1 do
                ignore (Route.route_from inet ~src:isrcs.(k) ~dst:idsts.(k))
              done));
-      Test.make ~name:"inter-batch"
-        (Staged.stage (fun () -> Dinter.run di ~srcs:isrcs ~dsts:idsts));
     ]
   in
   (* --- protocol engine: pure-read walk over actor tables --- *)
@@ -542,9 +527,8 @@ let dataplane_bench (scale : E.Common.scale) quick =
              ignore (Proto.lookup_owner_batch proto ~from:pfrom ~targets:ptargets)));
     ]
   in
-  Printf.printf
-    "equivalence gates passed: %d intra walks, %d inter routes, %d proto walks\n"
-    gate itotal ptotal;
+  Printf.printf "equivalence gates passed: %d intra walks, %d proto walks\n" gate
+    ptotal;
   (* --- measure --- *)
   let groups =
     [
@@ -596,7 +580,6 @@ let dataplane_bench (scale : E.Common.scale) quick =
                  dp_passes =
                    (match short with
                    | "engine-seq" -> 0
-                   | "inter-batch" -> inter_passes
                    | s when String.length s > 6 && String.sub s 0 6 = "batch-" ->
                      full_passes
                    | _ -> 0);
@@ -775,12 +758,14 @@ let services_bench (scale : E.Common.scale) quick =
 
 (* Lookups/sec of the α-parallel register file at α ∈ {1, 2, 4} over one
    bootstrapped ring with pointer caches enabled, so the diversified branch
-   starts are live.  α=1 is gated byte-identical to the sequential
-   [Proto_batch] walk (status, owner, hops, latency) and α>1 is gated to
-   the sequential verdict with an empty freelist — a throughput number from
-   a wrong or slot-leaking engine is worthless.  Rows report the
-   duplicate-work price alongside the rate: wasted ring hops per lookup is
-   what redundancy costs, and the gate keeps it a tracked number. *)
+   starts are live.  α=1 is gated byte-identical to a digest of the
+   sequential register walk's output (status, owner, hops, latency),
+   recorded per scale before that walk was folded into this engine, and
+   α>1 is gated to the sequential verdict with an empty freelist — a
+   throughput number from a wrong or slot-leaking engine is worthless.
+   Rows report the duplicate-work price alongside the rate: wasted ring
+   hops per lookup is what redundancy costs, and the gate keeps it a
+   tracked number. *)
 
 type alpha_row = {
   al_name : string;
@@ -798,7 +783,6 @@ let alpha_bench (scale : E.Common.scale) quick =
   let module Id = Rofl_idspace.Id in
   let module Isp = Rofl_topology.Isp in
   let module Proto = Rofl_proto.Proto in
-  let module Proto_batch = Rofl_dataplane.Proto_batch in
   let module Alpha = Rofl_dataplane.Alpha in
   let gate_fail fmt =
     Printf.ksprintf
@@ -830,25 +814,30 @@ let alpha_bench (scale : E.Common.scale) quick =
         if k mod 4 = 3 then Id.random rng
         else members.(k * 11 mod Array.length members))
   in
-  (* Gate 1: α=1 must be byte-identical to the sequential register file. *)
-  let pb = Proto_batch.create ~hint:total proto in
+  (* Gate 1: α=1 must be byte-identical to the sequential register walk it
+     replaced: one line per lookup, digested, against the digest that walk
+     produced on this same lookup set at each scale. *)
   let a1 = Alpha.create ~hint:total ~alpha:1 proto in
   for k = 0 to total - 1 do
-    ignore (Proto_batch.stage pb ~from:from.(k) ~target:targets.(k));
     ignore (Alpha.stage a1 ~from:from.(k) ~target:targets.(k))
   done;
-  Proto_batch.run pb;
   Alpha.run a1;
+  let walk = Buffer.create (64 * total) in
   for k = 0 to total - 1 do
-    if
-      Proto_batch.resolved pb k <> Alpha.resolved a1 k
-      || Proto_batch.owner_router pb k <> Alpha.owner_router a1 k
-      || Proto_batch.ring_hops pb k <> Alpha.ring_hops a1 k
-      || Proto_batch.link_hops pb k <> Alpha.link_hops a1 k
-      || Proto_batch.latency_ms pb k <> Alpha.latency_ms a1 k
-      || Alpha.wasted_hops a1 k <> 0
-    then gate_fail "alpha=1 diverges from Proto_batch at lookup %d" k
+    if Alpha.wasted_hops a1 k <> 0 then gate_fail "alpha=1 wasted hops at lookup %d" k;
+    let r = Alpha.resolved a1 k in
+    Printf.bprintf walk "%d %b %s %d %d %d %Lx\n" k r
+      (if r then Id.to_hex (Alpha.owner_id a1 k) else "-")
+      (Alpha.owner_router a1 k) (Alpha.ring_hops a1 k) (Alpha.link_hops a1 k)
+      (Int64.bits_of_float (Alpha.latency_ms a1 k))
   done;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents walk)) in
+  let golden =
+    if quick then "4d2c807900a9f05734ec484bb2b932fc"
+    else "2a2f487eff2b8f4b0fdbc3bc7be10231"
+  in
+  if digest <> golden then
+    gate_fail "alpha=1 walk digest %s, sequential walk recorded %s" digest golden;
   (* Gate 2: any α agrees with the sequential verdict; freelist drains. *)
   let gate = min 256 total in
   let files =
@@ -1170,88 +1159,44 @@ let check_alloc ~baseline rows =
     baseline;
   !failures
 
-(* The throughput side of the gate: a dataplane row may not allocate more
-   than the micro-style words limit, and may not fall below half the
-   baseline's lookups/sec.  Wall-clock on shared CI runners is noisy, so
-   the 50% margin catches a lost optimisation (batching regressions cost
-   integer factors), not scheduler jitter. *)
-let check_dataplane ~baseline rows =
-  let failures = ref 0 in
-  List.iter
-    (fun (name, base_w, base_rate) ->
-      match List.find_opt (fun (r : dataplane_row) -> r.dp_name = name) rows with
-      | None ->
-        Printf.printf "dataplane-gate: %-24s MISSING from this run\n" name;
-        incr failures
-      | Some r ->
-        let w_limit = (base_w *. 1.25) +. 0.5 in
-        let rate_floor = base_rate *. 0.5 in
-        let w_ok = r.dp_words_per_lookup <= w_limit in
-        let rate_ok = r.dp_lookups_per_s >= rate_floor in
-        Printf.printf
-          "dataplane-gate: %-24s %8.3f w/lookup (limit %8.3f) %12.0f lookups/s \
-           (floor %12.0f) %s\n"
-          name r.dp_words_per_lookup w_limit r.dp_lookups_per_s rate_floor
-          (if w_ok && rate_ok then "ok"
-           else if w_ok then "FAIL(throughput)"
-           else "FAIL(alloc)");
-        if not (w_ok && rate_ok) then incr failures)
-    baseline;
-  !failures
-
-(* Services rows gate the same two axes as the dataplane: minor words per
-   resolution (25% + slack) and a 50%-of-baseline resolutions/sec floor. *)
-let check_services ~baseline rows =
-  let failures = ref 0 in
-  List.iter
-    (fun (name, base_w, base_rate) ->
-      match List.find_opt (fun (r : services_row) -> r.sv_name = name) rows with
-      | None ->
-        Printf.printf "services-gate: %-24s MISSING from this run\n" name;
-        incr failures
-      | Some r ->
-        let w_limit = (base_w *. 1.25) +. 0.5 in
-        let rate_floor = base_rate *. 0.5 in
-        let w_ok = r.sv_words_per_resolution <= w_limit in
-        let rate_ok = r.sv_resolutions_per_s >= rate_floor in
-        Printf.printf
-          "services-gate: %-24s %8.3f w/resolution (limit %8.3f) %12.0f \
-           resolutions/s (floor %12.0f) %s\n"
-          name r.sv_words_per_resolution w_limit r.sv_resolutions_per_s rate_floor
-          (if w_ok && rate_ok then "ok"
-           else if w_ok then "FAIL(throughput)"
-           else "FAIL(alloc)");
-        if not (w_ok && rate_ok) then incr failures)
-    baseline;
-  !failures
-
-(* Alpha rows gate words/lookup (25% + slack) and a 50%-of-baseline
-   lookups/sec floor, exactly like the dataplane: losing the allocation-free
-   walk or the register-reuse discipline at α>1 costs integer factors, which
-   the margin catches through CI scheduler noise. *)
-let check_alpha ~baseline rows =
-  let failures = ref 0 in
-  List.iter
-    (fun (name, base_w, base_rate) ->
-      match List.find_opt (fun (r : alpha_row) -> r.al_name = name) rows with
-      | None ->
-        Printf.printf "alpha-gate: %-24s MISSING from this run\n" name;
-        incr failures
-      | Some r ->
-        let w_limit = (base_w *. 1.25) +. 0.5 in
-        let rate_floor = base_rate *. 0.5 in
-        let w_ok = r.al_words_per_lookup <= w_limit in
-        let rate_ok = r.al_lookups_per_s >= rate_floor in
-        Printf.printf
-          "alpha-gate: %-24s %8.3f w/lookup (limit %8.3f) %12.0f lookups/s \
-           (floor %12.0f) %s\n"
-          name r.al_words_per_lookup w_limit r.al_lookups_per_s rate_floor
-          (if w_ok && rate_ok then "ok"
-           else if w_ok then "FAIL(throughput)"
-           else "FAIL(alloc)");
-        if not (w_ok && rate_ok) then incr failures)
-    baseline;
-  !failures
+(* The throughput side of the gate, shared by the dataplane, services and
+   alpha rows: a row may not allocate more than the micro-style words limit
+   per operation, and may not fall below half the baseline's operations/sec.
+   Wall-clock on shared CI runners is noisy, so the 50% margin catches a
+   lost optimisation (batching regressions cost integer factors), not
+   scheduler jitter.  [rows] maps a row name to (words/op, ops/s); a target
+   that did not run ([rows = []]) is skipped, so micro-only CI invocations
+   with a combined baseline file stay valid. *)
+let check_rate ~gate ~op ~baseline rows =
+  if rows = [] then begin
+    if baseline <> [] then
+      Printf.printf "%s-gate: skipped (%d baseline row(s), %s target not run)\n"
+        gate (List.length baseline) gate;
+    0
+  end
+  else begin
+    let failures = ref 0 in
+    List.iter
+      (fun (name, base_w, base_rate) ->
+        match List.assoc_opt name rows with
+        | None ->
+          Printf.printf "%s-gate: %-24s MISSING from this run\n" gate name;
+          incr failures
+        | Some (words, rate) ->
+          let w_limit = (base_w *. 1.25) +. 0.5 in
+          let rate_floor = base_rate *. 0.5 in
+          let w_ok = words <= w_limit in
+          let rate_ok = rate >= rate_floor in
+          Printf.printf
+            "%s-gate: %-24s %8.3f w/%s (limit %8.3f) %12.0f %ss/s (floor %12.0f) %s\n"
+            gate name words op w_limit rate op rate_floor
+            (if w_ok && rate_ok then "ok"
+             else if w_ok then "FAIL(throughput)"
+             else "FAIL(alloc)");
+          if not (w_ok && rate_ok) then incr failures)
+      baseline;
+    !failures
+  end
 
 let () =
   Rofl_util.Logging.setup ();
@@ -1289,13 +1234,16 @@ let () =
   in
   let args = strip_jobs args in
   let scale = if quick then E.Common.quick else E.Common.full in
-  let wanted =
-    match args with
-    | [] ->
-      List.map (fun (n, _, _) -> n) targets
-      @ [ "shards"; "micro"; "dataplane"; "services"; "alpha" ]
-    | _ -> args
+  let known =
+    List.map (fun (n, _, _) -> n) targets
+    @ [ "shards"; "micro"; "dataplane"; "services"; "alpha" ]
   in
+  let wanted = match args with [] -> known | _ -> args in
+  (match List.filter (fun n -> not (List.mem n known)) wanted with
+   | [] -> ()
+   | unknown ->
+     List.iter (Printf.eprintf "unknown target %S (see bench/main.ml)\n") unknown;
+     exit 2);
   Printf.printf "ROFL reproduction benchmarks (%s scale, seed %d, %d jobs)\n\n"
     (if quick then "quick" else "full")
     scale.E.Common.seed (E.Common.jobs ());
@@ -1333,21 +1281,18 @@ let () =
         timings := ("alpha", cost) :: !timings
       end
       else begin
-        match List.find_opt (fun (n, _, _) -> n = name) targets with
-        | Some (_, desc, f) ->
-          Printf.printf "--- %s: %s ---\n" name desc;
-          let tables, cost = measure (fun () -> f scale) in
-          List.iter Table.print tables;
-          (match !csv_dir with
-           | Some dir ->
-             List.iter (fun t -> ignore (Table.save_csv t ~dir)) tables
-           | None -> ());
-          timings := (name, cost) :: !timings;
-          Printf.printf "(%s took %.1fs, %.1fM minor words, %d major GCs)\n\n" name
-            cost.seconds
-            (float_of_int cost.minor_words /. 1e6)
-            cost.gc_majors
-        | None -> Printf.printf "unknown target %S (see bench/main.ml)\n" name
+        let _, desc, f = List.find (fun (n, _, _) -> n = name) targets in
+        Printf.printf "--- %s: %s ---\n" name desc;
+        let tables, cost = measure (fun () -> f scale) in
+        List.iter Table.print tables;
+        (match !csv_dir with
+         | Some dir -> List.iter (fun t -> ignore (Table.save_csv t ~dir)) tables
+         | None -> ());
+        timings := (name, cost) :: !timings;
+        Printf.printf "(%s took %.1fs, %.1fM minor words, %d major GCs)\n\n" name
+          cost.seconds
+          (float_of_int cost.minor_words /. 1e6)
+          cost.gc_majors
       end)
     wanted;
   write_bench_json ~path:"BENCH.json" ~quick ~jobs:(E.Common.jobs ())
@@ -1366,37 +1311,26 @@ let () =
       exit 2
     end;
     let failures = check_alloc ~baseline !micro_rows in
-    (* Dataplane rows are gated only when the target ran: micro-only CI
-       invocations with a combined baseline file must stay valid. *)
     let failures =
-      if !dataplane_rows = [] then begin
-        if dp_baseline <> [] then
-          Printf.printf
-            "dataplane-gate: skipped (%d baseline row(s), dataplane target not run)\n"
-            (List.length dp_baseline);
+      List.fold_left
+        (fun acc (gate, op, baseline, rows) ->
+          acc + check_rate ~gate ~op ~baseline rows)
         failures
-      end
-      else failures + check_dataplane ~baseline:dp_baseline !dataplane_rows
-    in
-    let failures =
-      if !services_rows = [] then begin
-        if sv_baseline <> [] then
-          Printf.printf
-            "services-gate: skipped (%d baseline row(s), services target not run)\n"
-            (List.length sv_baseline);
-        failures
-      end
-      else failures + check_services ~baseline:sv_baseline !services_rows
-    in
-    let failures =
-      if !alpha_rows = [] then begin
-        if al_baseline <> [] then
-          Printf.printf
-            "alpha-gate: skipped (%d baseline row(s), alpha target not run)\n"
-            (List.length al_baseline);
-        failures
-      end
-      else failures + check_alpha ~baseline:al_baseline !alpha_rows
+        [
+          ( "dataplane", "lookup", dp_baseline,
+            List.map
+              (fun r -> (r.dp_name, (r.dp_words_per_lookup, r.dp_lookups_per_s)))
+              !dataplane_rows );
+          ( "services", "resolution", sv_baseline,
+            List.map
+              (fun r ->
+                (r.sv_name, (r.sv_words_per_resolution, r.sv_resolutions_per_s)))
+              !services_rows );
+          ( "alpha", "lookup", al_baseline,
+            List.map
+              (fun r -> (r.al_name, (r.al_words_per_lookup, r.al_lookups_per_s)))
+              !alpha_rows );
+        ]
     in
     if failures > 0 then begin
       Printf.eprintf "alloc-gate: %d row(s) regressed vs %s\n" failures path;

@@ -1,11 +1,13 @@
 (* α-parallel register file over [Proto.lookup_owner_alpha_into]: the
-   batched data plane's front-end for redundant lookups.  Like
-   [Proto_batch] it persists registers across rounds — stage, run, read —
-   but each staged lookup owns up to α branch-register slots, acquired from
-   the file's freelist when [run] seeds the branches and released as
-   branches win, die, or are cancelled.  [slots_in_flight] must read 0
-   after every run: a cancellation path that strands a slot is a bug the
-   test suite pins directly against this counter.
+   batched data plane's front-end for owner walks, plain (α=1) or
+   redundant.  It persists registers across rounds — stage, run, read — so
+   a steady-state caller (the service-discovery directory, the bench hot
+   loop) allocates no fresh batch per round.  Each staged lookup owns up
+   to α branch-register slots, acquired from the file's freelist when
+   [run] seeds the branches and released as branches win, die, or are
+   cancelled.  [slots_in_flight] must read 0 after every run: a
+   cancellation path that strands a slot is a bug the test suite pins
+   directly against this counter.
 
    The engine itself lives in [Proto] (the walk needs store internals);
    this layer owns the memory, the freelist discipline, and the

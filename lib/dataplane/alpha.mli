@@ -1,7 +1,8 @@
 (** α-parallel register file for the batched data plane.
 
-    Same stage/run/read discipline as {!Proto_batch}, but every staged
-    lookup is walked by up to α concurrent greedy branches with
+    Registers persist across rounds — stage lookups, {!run} the fused
+    walk, read the verdicts, {!clear}, repeat — and every staged lookup is
+    walked by up to α concurrent greedy branches with
     first-success semantics: branch 0 starts at the staged origin, extra
     branches start from diversified pointers (pointer-cache entry closest
     to the target, successor-list backups, predecessor).  The first branch
@@ -23,8 +24,9 @@ type t
 val create : ?hint:int -> ?alpha:int -> Rofl_proto.Proto.t -> t
 (** [create ?hint ?alpha proto] sizes the file for about [hint] lookups
     (default 16, growing by doubling) of [alpha] branches each (default 1,
-    which walks exactly like {!Proto_batch}).  Raises [Invalid_argument]
-    if [alpha < 1]. *)
+    the plain batched owner walk: verdicts exactly those of
+    {!Rofl_proto.Proto.lookup_owner}).  Raises [Invalid_argument] if
+    [alpha < 1]. *)
 
 val proto : t -> Rofl_proto.Proto.t
 

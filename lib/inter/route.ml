@@ -139,9 +139,6 @@ let charge_move (t : Net.t) level a b =
      | _ :: tail -> Some (d, tail))
   | None -> None
 
-let charge_unrestricted (t : Net.t) a b =
-  charge_move t Level.Root a b
-
 (* The greedy loop — candidate ranking, per-move commit, step guard — lives
    in {!Rofl_routing.Walk}; this substrate supplies the AS-granularity
    state.  One Walk step is one pointer traversal: a level-restricted ring
@@ -351,7 +348,7 @@ module Route_substrate = struct
   let follow st () c =
     match c with
     | Cache_move (cid, ch) ->
-      (match charge_unrestricted st.net st.cur ch.Net.home_as with
+      (match charge_move st.net Level.Root st.cur ch.Net.home_as with
        | None -> Walk.Blocked
        | Some (d, tail) ->
          st.as_hops <- st.as_hops + d;

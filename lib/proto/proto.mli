@@ -309,13 +309,14 @@ val lookup_owner_batch :
   targets:Rofl_idspace.Id.t array ->
   Rofl_idspace.Id.t option array
 (** Batched {!lookup_owner}: lookup [i] starts at [from.(i)] toward
-    [targets.(i)], all walks advanced one hop per pass over flat registers
-    (shared store visitors, no per-hop closures).  The walk is pure-read,
-    so the result is exactly the per-lookup [lookup_owner] map — pinned in
-    [test_dataplane].  With [alpha > 1] each lookup runs α concurrent
-    branches through the α engine ({!lookup_owner_alpha_into}); on a
-    converged ring the verdicts are unchanged — diversification only buys
-    speed and robustness, pinned in [test_alpha]. *)
+    [targets.(i)], each lookup walked by [alpha] (default 1) concurrent
+    branches of the engine {!lookup_owner_alpha_into}.  The walk is
+    pure-read; at [alpha = 1] the result is exactly the per-lookup
+    [lookup_owner] map — pinned in [test_dataplane].  With [alpha > 1] the
+    extra branches start from diversified pointers; on a converged ring
+    the verdicts are unchanged — diversification only buys speed and
+    robustness, pinned in [test_alpha].  Raises [Invalid_argument] if
+    [alpha < 1] or the arrays differ in length. *)
 
 type alpha_stats = {
   al_owner_router : int array;  (** verdict router, -1 when unresolved *)
@@ -362,31 +363,12 @@ val lookup_owner_alpha_into :
     the charged one (winner, or branch 0 when unresolved).  Returns
     [(cancellations, released)]: branches cancelled live, and total branch
     slots handed back — the caller's freelist drains to empty exactly when
-    [released = Σ br_count.(i)].  At [alpha = 1] the verdicts are
-    byte-identical to {!lookup_owner_batch}. *)
-
-val lookup_owner_batch_into :
-  t ->
-  n:int ->
-  from:int array ->
-  targets:Rofl_idspace.Id.t array ->
-  found:bool array ->
-  owner:Rofl_idspace.Id.t array ->
-  owner_router:int array ->
-  ring_hops:int array ->
-  link_hops:int array ->
-  latency_ms:float array ->
-  unit
-(** Register form of {!lookup_owner_batch} for callers that reuse their
-    batch arrays across rounds (the service-discovery resolver): lookups
-    [0..n-1] are read from [from]/[targets] and verdicts written in place —
-    [owner.(i)] is meaningful iff [found.(i)], [owner_router.(i)] is the
-    router where the verdict landed ([-1] when unresolved), [ring_hops] the
-    greedy hops taken, and [link_hops]/[latency_ms] the physical cost of the
-    walk with every ring hop priced by the link-state shortest path between
-    the two routers.  All arrays may be longer than [n].  Verdicts are
-    byte-identical to {!lookup_owner_batch}; the Dijkstra pricing only warms
-    per-shard memoised trees, so the walk stays pure-read. *)
+    [released = Σ br_count.(i)].  At [alpha = 1] this is the one batched
+    form of {!lookup_owner}: [stats] then carries the verdict router, the
+    greedy hops, and the physical cost of the walk with every ring hop
+    priced by the link-state shortest path between the two routers (the
+    Dijkstra pricing only warms per-shard memoised trees, so the walk stays
+    pure-read). *)
 
 val latency_between : t -> int -> int -> float
 (** Link-state shortest-path latency between two routers (0 when equal or

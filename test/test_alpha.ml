@@ -1,16 +1,15 @@
-(* α-parallel lookup engine: α=1 must be byte-identical to the sequential
-   batch walk, any α must agree with the sequential verdict on first
-   success, cancellation must never strand a branch register slot (the
-   freelist drains to empty after every run), and the network-size
-   estimator feeding the self-tuner must land near the true membership at
-   several ring sizes. *)
+(* α-parallel lookup engine: α=1 must reproduce the recorded output of the
+   sequential batch walk byte for byte, any α must agree with the
+   sequential verdict on first success, cancellation must never strand a
+   branch register slot (the freelist drains to empty after every run),
+   and the network-size estimator feeding the self-tuner must land near
+   the true membership at several ring sizes. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
 module Gen = Rofl_topology.Gen
 module Sha256 = Rofl_crypto.Sha256
 module Proto = Rofl_proto.Proto
-module Proto_batch = Rofl_dataplane.Proto_batch
 module Alpha = Rofl_dataplane.Alpha
 
 let spread_id k =
@@ -44,47 +43,41 @@ let lookup_set ~n ~count members =
   in
   (from, targets)
 
-(* ---- α=1 byte-identity against the sequential register file ------------- *)
+(* ---- α=1 byte-identity against the sequential batch walk ---------------
+
+   The sequential batch walk was a second copy of this engine and was
+   removed; its output on this scenario is pinned as a digest over one line
+   per lookup (resolved, owner, owner router, ring hops, link hops, latency
+   bits), recorded from it before the removal. *)
+
+let alpha1_golden = "faa06bb37c3cf00e2ab4e161b2e50bf4"
+
+let walk_digest ab n =
+  let b = Buffer.create 4096 in
+  for i = 0 to n - 1 do
+    let r = Alpha.resolved ab i in
+    Printf.bprintf b "%d %b %s %d %d %d %Lx\n" i r
+      (if r then Id.to_hex (Alpha.owner_id ab i) else "-")
+      (Alpha.owner_router ab i) (Alpha.ring_hops ab i) (Alpha.link_hops ab i)
+      (Int64.bits_of_float (Alpha.latency_ms ab i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_alpha1_eq_proto_batch () =
   let t, members, n = build_proto ~crash:true () in
   let from, targets = lookup_set ~n ~count:40 members in
   let count = Array.length from in
-  let pb = Proto_batch.create t in
   let ab = Alpha.create ~alpha:1 t in
   for i = 0 to count - 1 do
-    ignore (Proto_batch.stage pb ~from:from.(i) ~target:targets.(i));
     ignore (Alpha.stage ab ~from:from.(i) ~target:targets.(i))
   done;
-  Proto_batch.run pb;
   Alpha.run ab;
+  Alcotest.(check string) "alpha=1 walk digest" alpha1_golden (walk_digest ab count);
   for i = 0 to count - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "#%d resolved" i)
-      (Proto_batch.resolved pb i) (Alpha.resolved ab i);
-    if Proto_batch.resolved pb i then begin
-      Alcotest.(check bool)
-        (Printf.sprintf "#%d owner id" i)
-        true
-        (Id.equal (Proto_batch.owner_id pb i) (Alpha.owner_id ab i));
+    if Alpha.resolved ab i then
       Alcotest.(check int)
         (Printf.sprintf "#%d winner branch" i)
-        0 (Alpha.winner_branch ab i)
-    end;
-    Alcotest.(check int)
-      (Printf.sprintf "#%d owner router" i)
-      (Proto_batch.owner_router pb i) (Alpha.owner_router ab i);
-    Alcotest.(check int)
-      (Printf.sprintf "#%d ring hops" i)
-      (Proto_batch.ring_hops pb i) (Alpha.ring_hops ab i);
-    Alcotest.(check int)
-      (Printf.sprintf "#%d link hops" i)
-      (Proto_batch.link_hops pb i) (Alpha.link_hops ab i);
-    Alcotest.(check bool)
-      (Printf.sprintf "#%d latency %.17g=%.17g" i (Proto_batch.latency_ms pb i)
-         (Alpha.latency_ms ab i))
-      true
-      (Proto_batch.latency_ms pb i = Alpha.latency_ms ab i);
+        0 (Alpha.winner_branch ab i);
     Alcotest.(check int) (Printf.sprintf "#%d branches" i) 1 (Alpha.branches ab i);
     Alcotest.(check int) (Printf.sprintf "#%d wasted" i) 0 (Alpha.wasted_hops ab i)
   done;
@@ -144,7 +137,10 @@ let test_any_alpha_verdict_eq_sequential () =
         | None, None -> true
         | Some a, Some b -> Id.equal a b
         | _ -> false))
-    facade
+    facade;
+  Alcotest.check_raises "facade rejects alpha 0"
+    (Invalid_argument "Proto.lookup_owner_batch: alpha must be >= 1") (fun () ->
+      ignore (Proto.lookup_owner_batch ~alpha:0 t ~from ~targets))
 
 (* ---- QCheck: cancellation never strands register slots ------------------- *)
 

@@ -6,7 +6,8 @@
    [lookup_owner] reference, (3) the doctor's service checks — green on a
    healthy directory, firing on an injected residency fault (ring ownership
    moved under a placed record) and on the serve-stale fault knob — and
-   (4) campaign byte-identity across shard counts. *)
+   (4) campaign byte-identity across shard counts, plus an α=2 campaign
+   report pinned to a recorded digest. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
@@ -18,6 +19,7 @@ module Proto = Rofl_proto.Proto
 module Provider_store = Rofl_services.Provider_store
 module Resolver = Rofl_services.Resolver
 module Directory = Rofl_services.Directory
+module Alpha = Rofl_dataplane.Alpha
 module Checks = Rofl_doctor.Checks
 module Audit = Rofl_doctor.Audit
 module Sc = Rofl_dynamics.Services_campaign
@@ -113,7 +115,15 @@ let prop_store_matches_model =
           && Provider_store.live st = Hashtbl.length model)
         (List.mapi (fun step op -> (step, op)) ops))
 
-(* ---- batch walk with stats vs the sequential reference ------------------- *)
+(* ---- batch walk with stats vs the sequential reference -------------------
+
+   The directory's walks run on the α=1 register file.  Verdicts are checked
+   against the sequential [lookup_owner] reference; the full per-lookup
+   record (resolved, owner, owner router, ring hops, link hops, latency
+   bits) is pinned to a digest recorded from the removed stats-collecting
+   batch walk before its removal. *)
+
+let batch_stats_golden = "d03cb44050642f360a3d8a5ecc347072"
 
 let test_batch_stats_equivalence () =
   let proto, isp = make_proto 42 in
@@ -127,34 +137,39 @@ let test_batch_stats_equivalence () =
         if k mod 3 = 0 then Id.random rng
         else members.(Prng.int rng (Array.length members)))
   in
-  let found = Array.make n false in
-  let owner = Array.make n Id.zero in
-  let owner_router = Array.make n (-1) in
-  let ring_hops = Array.make n 0 in
-  let link_hops = Array.make n 0 in
-  let latency_ms = Array.make n 0.0 in
-  Proto.lookup_owner_batch_into proto ~n ~from ~targets ~found ~owner ~owner_router
-    ~ring_hops ~link_hops ~latency_ms;
+  let ab = Alpha.create ~hint:n proto in
+  Array.iteri (fun k f -> ignore (Alpha.stage ab ~from:f ~target:targets.(k))) from;
+  Alpha.run ab;
+  let digest = Buffer.create 4096 in
   for k = 0 to n - 1 do
-    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), found.(k)) with
+    let found = Alpha.resolved ab k in
+    let owner_router = Alpha.owner_router ab k in
+    let ring_hops = Alpha.ring_hops ab k and link_hops = Alpha.link_hops ab k in
+    let latency_ms = Alpha.latency_ms ab k in
+    Printf.bprintf digest "%d %b %s %d %d %d %Lx\n" k found
+      (if found then Id.to_hex (Alpha.owner_id ab k) else "-")
+      owner_router ring_hops link_hops (Int64.bits_of_float latency_ms);
+    (match (Proto.lookup_owner proto ~from:from.(k) targets.(k), found) with
      | Some expect, true ->
        Alcotest.(check bool)
          (Printf.sprintf "owner %d matches lookup_owner" k)
-         true (Id.equal expect owner.(k));
+         true (Id.equal expect (Alpha.owner_id ab k));
        (* the verdict router is where the owner identifier actually lives *)
-       (match Proto.locate proto owner.(k) with
-        | Some r -> Alcotest.(check int) "owner router" r owner_router.(k)
+       (match Proto.locate proto (Alpha.owner_id ab k) with
+        | Some r -> Alcotest.(check int) "owner router" r owner_router
         | None -> Alcotest.fail "resolved owner not locatable")
      | None, false -> ()
      | Some _, false | None, true ->
        Alcotest.failf "lookup %d: batch and sequential disagree on success" k);
-    if found.(k) then begin
-      if latency_ms.(k) < 0.0 then Alcotest.fail "negative latency";
-      if link_hops.(k) < 0 then Alcotest.fail "negative link hops";
-      if from.(k) <> owner_router.(k) && ring_hops.(k) = 0 && link_hops.(k) > 0 then
+    if found then begin
+      if latency_ms < 0.0 then Alcotest.fail "negative latency";
+      if link_hops < 0 then Alcotest.fail "negative link hops";
+      if from.(k) <> owner_router && ring_hops = 0 && link_hops > 0 then
         Alcotest.fail "link hops without ring hops"
     end
-  done
+  done;
+  Alcotest.(check string) "walk digest" batch_stats_golden
+    (Digest.to_hex (Digest.string (Buffer.contents digest)))
 
 (* ---- doctor checks ------------------------------------------------------- *)
 
@@ -303,6 +318,49 @@ let test_campaign_shard_determinism () =
         true (r = r1))
     [ 2; 4 ]
 
+(* Directory at α=2: resolve misses walk two branches while publishes stay
+   on the single walk.  The report is pinned to a digest recorded before the
+   directory's publish and α=1 resolve walks moved onto the α register
+   file, so a publish that slipped onto the α=2 file (changing
+   [publish_msgs]) or any other drift fails here.  The headline counters are
+   pinned in the clear for a readable failure. *)
+let report_digest (r : Sc.report) =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%s %d %d %d %d %h %d %h %d %h %h %h %h %h %d %d %d %d %d %d %d %d %d\n"
+    r.Sc.name r.Sc.resolves r.Sc.hits r.Sc.neg_hits r.Sc.misses r.Sc.hit_ratio r.Sc.ok
+    r.Sc.ok_rate r.Sc.stale r.Sc.stale_rate r.Sc.lat_p50_ms r.Sc.lat_p95_ms r.Sc.lat_p99_ms
+    r.Sc.miss_p95_ms r.Sc.republishes r.Sc.publish_msgs r.Sc.resolve_msgs
+    r.Sc.resolve_wasted r.Sc.resolve_cancels r.Sc.expired r.Sc.served_expired
+    r.Sc.records_live r.Sc.intents_active;
+  List.iter (fun (c, n) -> Printf.bprintf b "svc %s=%d\n" c n) r.Sc.svc_counters;
+  List.iter (fun (c, n) -> Printf.bprintf b "ctrl %s=%d\n" c n) r.Sc.proto_ctrl;
+  Printf.bprintf b "%d %h %d %d %d %h\n" r.Sc.ctrl_msgs r.Sc.ctrl_per_s r.Sc.peak_queue
+    r.Sc.events_executed r.Sc.event_fingerprint r.Sc.sim_end_ms;
+  (match r.Sc.audit with
+   | None -> Buffer.add_string b "no audit\n"
+   | Some s -> Printf.bprintf b "audit %d %d\n" s.Audit.checkpoints s.Audit.total_violations);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_campaign_alpha2_golden () =
+  let params =
+    { campaign_params with
+      Sc.dir_cfg = { campaign_params.Sc.dir_cfg with Directory.alpha = 2 } }
+  in
+  let r =
+    Sc.run ~seed:11 ~profile:Isp.as3967
+      ~audit:(Audit.config_for params.Sc.proto_cfg) ~shards:1 params
+  in
+  List.iter
+    (fun (label, expect, got) -> Alcotest.(check int) label expect got)
+    [ ("records placed", 30, r.Sc.records_live);
+      ("republishes", 69, r.Sc.republishes);
+      ("publish msgs (single walk)", 7915, r.Sc.publish_msgs);
+      ("resolve msgs (both branches)", 39167, r.Sc.resolve_msgs);
+      ("wasted branch hops", 3148, r.Sc.resolve_wasted);
+      ("branch cancellations", 167, r.Sc.resolve_cancels) ];
+  Alcotest.(check string) "report digest" "4d83907660db735c499b4d14fd95e6c5"
+    (report_digest r)
+
 let () =
   Alcotest.run "rofl_services"
     [
@@ -330,5 +388,7 @@ let () =
           Alcotest.test_case "SLOs sane and audits green" `Quick test_campaign_sanity;
           Alcotest.test_case "byte-identical at shards 1/2/4" `Quick
             test_campaign_shard_determinism;
+          Alcotest.test_case "alpha=2 report pinned" `Quick
+            test_campaign_alpha2_golden;
         ] );
     ]
