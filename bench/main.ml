@@ -339,15 +339,17 @@ let shard_bench quick =
 
 (* ---------------- batched data-plane throughput ---------------- *)
 
-(* Lookups/sec of the batched forwarding engine against the per-lookup
-   drivers it replaces: the intradomain engine (with a batch-size sweep
-   showing the batching knee) and the protocol engine's pure-read walk.
-   The interdomain walk has no batched twin; [route_from] is timed per
-   lookup for the cross-layer comparison.
-   Before anything is timed, every batched verdict is checked byte-identical
-   to the sequential reference — a throughput number from a wrong data
-   plane is worthless, so a mismatch exits 1.  Bechamel measures ns and
-   minor words per run; rows report both divided down to per-lookup. *)
+(* Lookups/sec of the batched forwarding engines: the intradomain engine
+   (with a batch-size sweep showing the batching knee; [Network.lookup] is
+   its batch of one) and the protocol engine's pure-read walk against its
+   per-lookup driver.  The interdomain walk has no batched twin;
+   [route_from] is timed per lookup for the cross-layer comparison.
+   Before anything is timed, the walks are gated: [Network.lookup]'s
+   verdicts must match the digest the per-lookup walk it replaced recorded
+   on the same lookup set, and every batched verdict must equal the same
+   lookup run alone — a throughput number from a wrong data plane is
+   worthless, so a mismatch exits 1.  Bechamel measures ns and minor words
+   per run; rows report both divided down to per-lookup. *)
 
 type dataplane_row = {
   dp_name : string;
@@ -364,12 +366,12 @@ let dataplane_bench (scale : E.Common.scale) quick =
   let module Id = Rofl_idspace.Id in
   let module Isp = Rofl_topology.Isp in
   let module Network = Rofl_intra.Network in
+  let module Engine = Network.Engine in
   let module Vnode = Rofl_core.Vnode in
   let module Msg = Rofl_core.Msg in
   let module Net = Rofl_inter.Net in
   let module Route = Rofl_inter.Route in
   let module Proto = Rofl_proto.Proto in
-  let module Dintra = Rofl_dataplane.Intra in
   let gate_fail fmt =
     Printf.ksprintf
       (fun s ->
@@ -392,46 +394,44 @@ let dataplane_bench (scale : E.Common.scale) quick =
     Array.init total (fun k ->
         if k mod 4 = 3 then Id.random rng else ids.(k * 7 mod Array.length ids))
   in
-  let same_status a b =
-    match (a, b) with
-    | Network.Delivered x, Network.Delivered y
-    | Network.Predecessor x, Network.Predecessor y ->
-      Id.equal x.Vnode.id y.Vnode.id
-    | Network.Stuck x, Network.Stuck y -> x = y
-    | _ -> false
+  let status_line = function
+    | Network.Delivered vn -> "D:" ^ Id.to_hex vn.Vnode.id
+    | Network.Predecessor vn -> "P:" ^ Id.to_hex vn.Vnode.id
+    | Network.Stuck r -> "S:" ^ string_of_int r
   in
-  (* Gate 1: engine vs [Network.lookup], per lookup from identical state. *)
-  let dpg = Dintra.create net in
-  let gate = min 256 total in
-  for k = 0 to gate - 1 do
-    Dintra.run dpg ~from:[| from.(k) |] ~targets:[| targets.(k) |];
+  (* Gate 1: [Network.lookup] over the whole set, one line per lookup
+     (verdict, msgs, latency bits), against the digest the deleted
+     per-lookup [Walk.Make] driver produced on this set at each scale. *)
+  let walk = Buffer.create (64 * total) in
+  for k = 0 to total - 1 do
     let r =
       Network.lookup net ~from:from.(k) ~target:targets.(k) ~category:Msg.data
         ~use_cache:true
     in
-    if
-      (not (same_status (Dintra.status dpg 0) r.Network.status))
-      || Dintra.msgs dpg 0 <> r.Network.msgs
-      || Dintra.latency_ms dpg 0 <> r.Network.latency_ms
-    then
-      gate_fail "intra lookup %d: engine %d msgs vs walk %d msgs" k
-        (Dintra.msgs dpg 0) r.Network.msgs;
-    Dintra.apply_nacks dpg
+    Printf.bprintf walk "%d %s %d %Lx\n" k (status_line r.Network.status) r.Network.msgs
+      (Int64.bits_of_float r.Network.latency_ms)
   done;
-  (* Gate 2: batched vs sequential over the whole set (both read-only). *)
-  let dp = Dintra.create net in
-  let dps = Dintra.create net in
-  Dintra.run dp ~from ~targets;
-  Dintra.run_sequential dps ~from ~targets;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents walk)) in
+  let golden =
+    if quick then "a80d9b9d72b70ca1ce2020c8c779a68e"
+    else "be0e81fad5f7f39735fbfefea2ac814a"
+  in
+  if digest <> golden then
+    gate_fail "Network.lookup digest %s, per-lookup walk recorded %s" digest golden;
+  (* Gate 2: one batch over the whole set vs a loop of batches of one. *)
+  let dp = Engine.create net in
+  let one = Engine.create net in
+  Engine.run dp ~from ~targets;
   for k = 0 to total - 1 do
+    Engine.run one ~from:[| from.(k) |] ~targets:[| targets.(k) |];
     if
-      (not (same_status (Dintra.status dp k) (Dintra.status dps k)))
-      || Dintra.msgs dp k <> Dintra.msgs dps k
-      || Dintra.latency_ms dp k <> Dintra.latency_ms dps k
-      || Dintra.restarts dp k <> Dintra.restarts dps k
-    then gate_fail "intra batch/sequential diverge at lookup %d" k
+      status_line (Engine.status dp k) <> status_line (Engine.status one 0)
+      || Engine.msgs dp k <> Engine.msgs one 0
+      || Engine.latency_ms dp k <> Engine.latency_ms one 0
+      || Engine.restarts dp k <> Engine.restarts one 0
+    then gate_fail "intra batch/batch-of-one diverge at lookup %d" k
   done;
-  let full_passes = Dintra.passes dp in
+  let full_passes = Engine.passes dp in
   (* Chunks are pre-sliced so the timed thunks allocate nothing of their
      own; the engine reuses its registers across runs. *)
   let batch_sizes = List.filter (fun b -> b <= total) [ 1; 8; 64; 512; 4096 ] in
@@ -444,22 +444,13 @@ let dataplane_bench (scale : E.Common.scale) quick =
         (Array.sub from off len, Array.sub targets off len))
   in
   let intra_tests =
-    Test.make ~name:"walk-driver"
-      (Staged.stage (fun () ->
-           for k = 0 to total - 1 do
-             ignore
-               (Network.lookup net ~from:from.(k) ~target:targets.(k)
-                  ~category:Msg.data ~use_cache:true)
-           done))
-    :: Test.make ~name:"engine-seq"
-         (Staged.stage (fun () -> Dintra.run_sequential dp ~from ~targets))
-    :: List.map
-         (fun b ->
-           let cs = chunks b in
-           Test.make ~name:(Printf.sprintf "batch-%d" b)
-             (Staged.stage (fun () ->
-                  Array.iter (fun (f, t) -> Dintra.run dp ~from:f ~targets:t) cs)))
-         batch_sizes
+    List.map
+      (fun b ->
+        let cs = chunks b in
+        Test.make ~name:(Printf.sprintf "batch-%d" b)
+          (Staged.stage (fun () ->
+               Array.iter (fun (f, t) -> Engine.run dp ~from:f ~targets:t) cs)))
+      batch_sizes
   in
   (* --- interdomain: figure-scale Internet, single-homed population --- *)
   let irun =
@@ -527,7 +518,7 @@ let dataplane_bench (scale : E.Common.scale) quick =
              ignore (Proto.lookup_owner_batch proto ~from:pfrom ~targets:ptargets)));
     ]
   in
-  Printf.printf "equivalence gates passed: %d intra walks, %d proto walks\n" gate
+  Printf.printf "equivalence gates passed: %d intra walks, %d proto walks\n" total
     ptotal;
   (* --- measure --- *)
   let groups =
@@ -578,11 +569,9 @@ let dataplane_bench (scale : E.Common.scale) quick =
                  dp_lookups_per_s =
                    (if ns_run > 0.0 then l /. (ns_run *. 1e-9) else nan);
                  dp_passes =
-                   (match short with
-                   | "engine-seq" -> 0
-                   | s when String.length s > 6 && String.sub s 0 6 = "batch-" ->
-                     full_passes
-                   | _ -> 0);
+                   (if String.length short > 6 && String.sub short 0 6 = "batch-" then
+                      full_passes
+                    else 0);
                }))
       groups
   in

@@ -107,7 +107,7 @@ let push_front c s =
   if c.head >= 0 then c.prev.(c.head) <- s else c.tail <- s;
   c.head <- s
 
-let touch c s =
+let touch_slot c s =
   if c.head <> s then begin
     unlink c s;
     push_front c s
@@ -216,7 +216,7 @@ let insert c (p : Pointer.t) =
     if holds c i x then begin
       let s = c.order.(i) in
       c.ptrs.(s) <- p;
-      touch c s
+      touch_slot c s
     end
     else begin
       let key = Id.key x in
@@ -252,9 +252,11 @@ let insert c (p : Pointer.t) =
 
 let mem c x = not (Cursor.is_none (Cursor.find c x))
 
+let touch c i = touch_slot c c.order.(i)
+
 let find c x =
   let i = Cursor.find c x in
-  if not (Cursor.is_none i) then touch c c.order.(i);
+  if not (Cursor.is_none i) then touch c i;
   i
 
 let best_match c ~cur ~target =
@@ -264,14 +266,14 @@ let best_match c ~cur ~target =
        past), accepted only if it improves on cur. *)
     let i = lower_bound c target in
     if holds c i target then begin
-      touch c c.order.(i);
+      touch c i;
       i
     end
     else begin
       let j = if i > 0 then i - 1 else c.len - 1 in
       let s = c.order.(j) in
       if Id.between_incl cur c.ids.(s) target then begin
-        touch c s;
+        touch_slot c s;
         j
       end
       else Cursor.none

@@ -20,7 +20,7 @@
     Lookups answer with a {!Cursor.t}, a position in the ring order read
     back with {!Cursor.value_at}.  A cursor is valid until the next
     [insert], [remove], [drop_if], [clear] or [resize]; recency touches
-    ([find], [best_match]) leave cursors valid. *)
+    ([find], [best_match], [touch]) leave cursors valid. *)
 
 type t
 
@@ -72,6 +72,11 @@ val mem : t -> Rofl_idspace.Id.t -> bool
 
 val find : t -> Rofl_idspace.Id.t -> Cursor.t
 (** Exact lookup; refreshes recency of a hit. *)
+
+val touch : t -> Cursor.t -> unit
+(** Refresh the recency of the entry at a (valid, non-{!Cursor.none})
+    cursor — what {!find} and {!best_match} do to the entry they return,
+    for callers that locate an entry through {!Cursor} reads. *)
 
 val best_match : t -> cur:Rofl_idspace.Id.t -> target:Rofl_idspace.Id.t -> Cursor.t
 (** The cached pointer whose identifier lies in the ring interval

@@ -45,6 +45,8 @@ type t = {
   mutable br_link_hops : int array;
   mutable br_latency_ms : float array;
   mutable br_live : Bytes.t;
+  (* the engine's view of the per-lookup registers, rebuilt by [grow] *)
+  mutable stats : Proto.alpha_stats option;
   (* freelist + ledgers *)
   mutable in_flight : int;
   mutable last_cancellations : int;
@@ -52,42 +54,61 @@ type t = {
   mutable total_wasted : int;
 }
 
+(* Built once per register growth, so [run] allocates no record (nor its
+   [Some]) per call. *)
+let stats_of t =
+  Some
+    {
+      Proto.al_owner_router = t.owner_router;
+      al_winner_branch = t.winner_branch;
+      al_branches = t.branches;
+      al_ring_hops = t.ring_hops;
+      al_wasted_hops = t.wasted_hops;
+      al_link_hops = t.link_hops;
+      al_latency_ms = t.latency_ms;
+    }
+
 let create ?(hint = 16) ?(alpha = 1) proto =
   if alpha < 1 then invalid_arg "Alpha.create: alpha must be >= 1";
   let cap = max 1 hint in
   let ca = cap * alpha in
-  {
-    proto;
-    alpha;
-    cap;
-    n = 0;
-    from = Array.make cap 0;
-    targets = Array.make cap Id.zero;
-    found = Array.make cap false;
-    owner = Array.make cap Id.zero;
-    lk_done = Bytes.create cap;
-    br_count = Array.make cap 0;
-    owner_router = Array.make cap (-1);
-    winner_branch = Array.make cap (-1);
-    branches = Array.make cap 0;
-    ring_hops = Array.make cap 0;
-    wasted_hops = Array.make cap 0;
-    wasted_link = Array.make cap 0;
-    link_hops = Array.make cap 0;
-    latency_ms = Array.make cap 0.0;
-    br_router = Array.make ca 0;
-    br_best = Array.make ca Id.zero;
-    br_best_valid = Bytes.create ca;
-    br_guard = Array.make ca 0;
-    br_hops = Array.make ca 0;
-    br_link_hops = Array.make ca 0;
-    br_latency_ms = Array.make ca 0.0;
-    br_live = Bytes.make ca '\000';
-    in_flight = 0;
-    last_cancellations = 0;
-    total_cancellations = 0;
-    total_wasted = 0;
-  }
+  let t =
+    {
+      proto;
+      alpha;
+      cap;
+      n = 0;
+      from = Array.make cap 0;
+      targets = Array.make cap Id.zero;
+      found = Array.make cap false;
+      owner = Array.make cap Id.zero;
+      lk_done = Bytes.create cap;
+      br_count = Array.make cap 0;
+      owner_router = Array.make cap (-1);
+      winner_branch = Array.make cap (-1);
+      branches = Array.make cap 0;
+      ring_hops = Array.make cap 0;
+      wasted_hops = Array.make cap 0;
+      wasted_link = Array.make cap 0;
+      link_hops = Array.make cap 0;
+      latency_ms = Array.make cap 0.0;
+      br_router = Array.make ca 0;
+      br_best = Array.make ca Id.zero;
+      br_best_valid = Bytes.create ca;
+      br_guard = Array.make ca 0;
+      br_hops = Array.make ca 0;
+      br_link_hops = Array.make ca 0;
+      br_latency_ms = Array.make ca 0.0;
+      br_live = Bytes.make ca '\000';
+      stats = None;
+      in_flight = 0;
+      last_cancellations = 0;
+      total_cancellations = 0;
+      total_wasted = 0;
+    }
+  in
+  t.stats <- stats_of t;
+  t
 
 let proto t = t.proto
 
@@ -134,7 +155,8 @@ let grow t cap =
   (let b = Bytes.make ca '\000' in
    Bytes.blit t.br_live 0 b 0 (t.cap * t.alpha);
    t.br_live <- b);
-  t.cap <- cap
+  t.cap <- cap;
+  t.stats <- stats_of t
 
 let clear t = t.n <- 0
 
@@ -149,46 +171,35 @@ let stage t ~from ~target =
 let length t = t.n
 
 let run t =
-  let stats =
-    {
-      Proto.al_owner_router = t.owner_router;
-      al_winner_branch = t.winner_branch;
-      al_branches = t.branches;
-      al_ring_hops = t.ring_hops;
-      al_wasted_hops = t.wasted_hops;
-      al_link_hops = t.link_hops;
-      al_latency_ms = t.latency_ms;
-    }
-  in
   let cancelled, released =
     Proto.lookup_owner_alpha_into t.proto ~n:t.n ~alpha:t.alpha ~from:t.from
       ~targets:t.targets ~found:t.found ~owner:t.owner ~lk_done:t.lk_done
       ~br_count:t.br_count ~br_router:t.br_router ~br_best:t.br_best
       ~br_best_valid:t.br_best_valid ~br_guard:t.br_guard ~br_hops:t.br_hops
       ~br_link_hops:t.br_link_hops ~br_latency_ms:t.br_latency_ms
-      ~br_live:t.br_live ~stats:(Some stats)
+      ~br_live:t.br_live ~stats:t.stats
   in
-  let acquired = ref 0 in
-  for i = 0 to t.n - 1 do
-    acquired := !acquired + t.br_count.(i)
-  done;
-  t.in_flight <- !acquired - released;
   t.last_cancellations <- cancelled;
   t.total_cancellations <- t.total_cancellations + cancelled;
-  (* Settle the wasted-LINK ledger from the branch registers: the engine's
+  (* One pass over the branch registers: count the slots acquired (the
+     freelist invariant) and settle the wasted-LINK ledger.  The engine's
      [wasted_hops] counts ring hops; message accounting needs the link
      traversals the losers burned (same exclusion rule — the winner, or
      branch 0 when unresolved, is the answer's own cost). *)
+  let acquired = ref 0 in
   for i = 0 to t.n - 1 do
+    let count = t.br_count.(i) in
+    acquired := !acquired + count;
     t.total_wasted <- t.total_wasted + t.wasted_hops.(i);
     let base = i * t.alpha in
     let keep = if t.winner_branch.(i) >= 0 then t.winner_branch.(i) else 0 in
     let wl = ref 0 in
-    for b = 0 to t.br_count.(i) - 1 do
+    for b = 0 to count - 1 do
       if b <> keep then wl := !wl + t.br_link_hops.(base + b)
     done;
     t.wasted_link.(i) <- !wl
-  done
+  done;
+  t.in_flight <- !acquired - released
 
 let check t i name =
   if i < 0 || i >= t.n then invalid_arg ("Alpha." ^ name ^ ": index out of batch")

@@ -38,10 +38,6 @@ val to_string : t -> string
 val member : ctx -> t -> int -> bool
 (** Is an AS inside this level's subtree? *)
 
-val breadth : ctx -> t -> int
-(** Number of ASes the level spans ([max_int] for [Root]) — the bottom-up
-    ordering key. *)
-
 val subsumes : ctx -> outer:t -> inner:t -> bool
 (** Does [outer]'s subtree contain the whole of [inner]'s?  Used to keep a
     packet's level ceiling monotonically narrowing. *)

@@ -18,7 +18,6 @@ type result = {
   cache_hops : int;
   peer_crossings : int;
   backtracks : int;
-  max_level_breadth : int;
   trace : Trace.t;
 }
 
@@ -139,13 +138,13 @@ let charge_move (t : Net.t) level a b =
      | _ :: tail -> Some (d, tail))
   | None -> None
 
-(* The greedy loop — candidate ranking, per-move commit, step guard — lives
-   in {!Rofl_routing.Walk}; this substrate supplies the AS-granularity
-   state.  One Walk step is one pointer traversal: a level-restricted ring
-   move (possibly diverted mid-path over a bloom peering link, §4.2) or an
-   unrestricted cache shortcut.  Position lives in the state record (the
-   packet's AS, ring position, and position host move together). *)
-module Route_substrate = struct
+(* The greedy loop at AS granularity.  One iteration is one pointer
+   traversal: a level-restricted ring move (possibly diverted mid-path
+   over a bloom peering link, §4.2) or an unrestricted cache shortcut,
+   picked by {!Rofl_routing.Walk.best}.  Position lives in the state
+   record (the packet's AS, ring position, and position host move
+   together). *)
+module Route_walk = struct
   type st = {
     net : Net.t;
     dst : Id.t;
@@ -157,28 +156,23 @@ module Route_substrate = struct
     mutable cache_hops : int;
     mutable peer_crossings : int;
     mutable backtracks : int;
-    mutable max_breadth : int;
     mutable rev_path : int list;
     mutable ceiling : Level.t;
     tried_peers : (int * int, unit) Hashtbl.t;
     tracer : Trace.builder;
   }
 
-  type pos = unit
-
   type cand =
     | Ring_move of Level.t * Id.t * Net.host * bool  (** level, id, host, narrows *)
     | Cache_move of Id.t * Net.host
 
-  type route = cand
-  type verdict = result
+  type moved =
+    | Stepped  (** advanced one move *)
+    | Finished of result  (** the move itself terminated the walk *)
+    | Blocked  (** the move cannot be made from here *)
 
   (* The seed guard admitted 4096 working iterations; [run] counts from 0. *)
-  let max_steps _ = 4095
-  let restart_limit _ = 0
-  let horizon = `Per_move
-  let stale_commit _ _ = false
-  let exhausted _ = true
+  let max_steps = 4095
 
   let finish st delivered =
     {
@@ -189,28 +183,26 @@ module Route_substrate = struct
       cache_hops = st.cache_hops;
       peer_crossings = st.peer_crossings;
       backtracks = st.backtracks;
-      max_level_breadth = st.max_breadth;
       trace = Trace.events st.tracer;
     }
 
   let extend_path st tail = List.iter (fun a -> st.rev_path <- a :: st.rev_path) tail
 
-  let arrived st () =
+  let arrived st =
     if Net.locate st.net st.dst = Some st.cur then Some (finish st true) else None
 
   (* Free intra-AS move to the closest local resident. *)
-  let prepare st () =
-    (match best_local_resident st.net st.cur ~pos:st.pos ~dst:st.dst with
-     | Some (mid, mh) when not (Id.equal mid st.pos) ->
-       st.pos <- mid;
-       st.pos_host <- mh
-     | Some _ | None -> ());
-    ()
+  let prepare st =
+    match best_local_resident st.net st.cur ~pos:st.pos ~dst:st.dst with
+    | Some (mid, mh) when not (Id.equal mid st.pos) ->
+      st.pos <- mid;
+      st.pos_host <- mh
+    | Some _ | None -> ()
 
   (* Ring candidate first, cache shortcut last: under {!Walk.best}'s
      keep-first ranking a cached pointer overrides the ring candidate only
      when strictly closer. *)
-  let candidates st () =
+  let candidates st =
     let ring =
       match
         lowest_level_candidate st.net st.pos_host ~cur:st.cur ~pos:st.pos ~dst:st.dst
@@ -226,14 +218,9 @@ module Route_substrate = struct
     in
     ring @ cache
 
-  let target st = st.dst
-
-  let cand_id _st = function
+  let cand_id = function
     | Ring_move (_, cid, _, _) -> cid
     | Cache_move (cid, _) -> cid
-
-  let deliver_here _ () _ = None
-  let commit _ () c = Some c
 
   (* Bloom-filter peering (§4.2): consult the peers' filters; a hit crosses
      the peering link and descends, a false positive backtracks. *)
@@ -345,11 +332,11 @@ module Route_substrate = struct
       scan_as 2 path_tail
     end
 
-  let follow st () c =
+  let follow st c =
     match c with
     | Cache_move (cid, ch) ->
       (match charge_move st.net Level.Root st.cur ch.Net.home_as with
-       | None -> Walk.Blocked
+       | None -> Blocked
        | Some (d, tail) ->
          st.as_hops <- st.as_hops + d;
          extend_path st tail;
@@ -361,7 +348,7 @@ module Route_substrate = struct
          st.pos_host <- ch;
          Trace.record st.tracer ~kind:Trace.Cache ~router:ch.Net.home_as
            ~level:(Level.to_string Level.Root) ~dist:(Id.distance cid st.dst);
-         Walk.Stepped ((), c))
+         Stepped)
     | Ring_move (level, cid, ch, narrows) ->
       (* Before taking a root-level (blind) move in bloom-filter mode,
          consult the peers' filters. *)
@@ -373,15 +360,14 @@ module Route_substrate = struct
         else None
       in
       (match peer_shortcut with
-       | Some r -> Walk.Finished r
+       | Some r -> Finished r
        | None ->
          (match charge_move st.net level st.cur ch.Net.home_as with
-          | None -> Walk.Blocked
+          | None -> Blocked
           | Some (d, tail) ->
             st.as_hops <- st.as_hops + d;
             extend_path st tail;
             st.pointer_hops <- st.pointer_hops + 1;
-            st.max_breadth <- max st.max_breadth (Level.breadth st.net.Net.ctx level);
             (match transit_divert st tail with
              | Some (_via, p) ->
                st.rev_path <- p :: st.rev_path;
@@ -392,9 +378,9 @@ module Route_substrate = struct
                      st.as_hops <- st.as_hops + dd;
                      extend_path st dtail;
                      st.cur <- home;
-                     Walk.Finished (finish st true)
-                   | None -> Walk.Finished (finish st false))
-                | None -> Walk.Finished (finish st false))
+                     Finished (finish st true)
+                   | None -> Finished (finish st false))
+                | None -> Finished (finish st false))
              | None ->
                st.cur <- ch.Net.home_as;
                st.pos <- cid;
@@ -402,23 +388,39 @@ module Route_substrate = struct
                if narrows then st.ceiling <- level;
                Trace.record st.tracer ~kind:Trace.Ring ~router:ch.Net.home_as
                  ~level:(Level.to_string level) ~dist:(Id.distance cid st.dst);
-               Walk.Stepped ((), c))))
+               Stepped)))
 
-  let no_candidate st () =
+  let no_candidate st =
     if st.net.Net.cfg.Net.peering_mode = Net.Bloom_filters then
       match try_peers st with Some r -> r | None -> finish st false
     else finish st false
 
-  let settle st () = finish st false (* unreachable under [`Per_move] *)
-  let stuck st () = finish st false
+  (* Each iteration: guard check, arrival check, the free move to the
+     closest local resident, arrival check, candidate ranking, then the
+     best candidate's move. *)
+  let rec run st guard =
+    if guard > max_steps then finish st false
+    else
+      match arrived st with
+      | Some v -> v
+      | None -> (
+        prepare st;
+        match arrived st with
+        | Some v -> v
+        | None -> (
+          match Walk.best ~target:st.dst ~id_of:cand_id (candidates st) with
+          | None -> no_candidate st
+          | Some c -> (
+            match follow st c with
+            | Blocked -> finish st false
+            | Finished v -> v
+            | Stepped -> run st (guard + 1))))
 end
-
-module Route_walk = Walk.Make (Route_substrate)
 
 let route_from (t : Net.t) ~src ~dst =
   let st =
     {
-      Route_substrate.net = t;
+      Route_walk.net = t;
       dst;
       cur = src.Net.home_as;
       pos = src.Net.id;
@@ -428,7 +430,6 @@ let route_from (t : Net.t) ~src ~dst =
       cache_hops = 0;
       peer_crossings = 0;
       backtracks = 0;
-      max_breadth = 0;
       rev_path = [ src.Net.home_as ];
       ceiling = Level.Root;
       tried_peers = Hashtbl.create 4;
@@ -436,7 +437,7 @@ let route_from (t : Net.t) ~src ~dst =
     }
   in
   Charge.inject t.Net.metrics Msg.data src.Net.home_as;
-  Route_walk.run st ~start:()
+  Route_walk.run st 0
 
 let route_between_ases t ~src_as ~dst =
   match Ring.min_binding !(t.Net.resident_rings.(src_as)) with

@@ -16,7 +16,6 @@ type result = {
   cache_hops : int;        (** of which, cache shortcuts *)
   peer_crossings : int;
   backtracks : int;        (** bloom false-positive reversals *)
-  max_level_breadth : int; (** cone size of the widest level used *)
   trace : Rofl_routing.Trace.t; (** per-hop events, in walk order *)
 }
 

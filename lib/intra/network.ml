@@ -3,12 +3,12 @@ module Ring = Rofl_idspace.Ring
 module Vnode = Rofl_core.Vnode
 module Pointer = Rofl_core.Pointer
 module Pointer_cache = Rofl_core.Pointer_cache
+module Cursor = Pointer_cache.Cursor
 module Sourceroute = Rofl_core.Sourceroute
 module Msg = Rofl_core.Msg
 module Graph = Rofl_topology.Graph
 module Linkstate = Rofl_linkstate.Linkstate
 module Metrics = Rofl_netsim.Metrics
-module Walk = Rofl_routing.Walk
 module Charge = Rofl_routing.Charge
 module Trace = Rofl_routing.Trace
 module Prng = Rofl_util.Prng
@@ -47,6 +47,65 @@ type router = {
   attachments : (Id.t, int) Hashtbl.t;
 }
 
+(* The lookup register file: every greedy lookup runs on one of these (see
+   "greedy lookup" below).  Per-lookup registers live in parallel arrays
+   indexed by lookup, so a batch advances one walk-iteration per pass and
+   the hot loop touches no per-hop closures, lists or tuples. *)
+type regs = {
+  mutable category : string;
+  mutable counter : int ref; (* [category]'s metrics cell, resolved per run *)
+  mutable use_cache : bool;
+  step_limit_override : int option;
+  mutable exclude : Id.t; (* removed from candidacy iff [excluding] *)
+  mutable excluding : bool;
+  dummy_vn : Vnode.t;
+  mutable step_limit : int;
+  mutable cap : int;
+  mutable n : int;
+  (* per-lookup registers *)
+  mutable origin : int array;
+  mutable target : Id.t array;
+  mutable pos : int array;
+  mutable best : Id.t array; (* committed horizon; valid iff best_valid=1 *)
+  mutable best_valid : int array;
+  mutable commit_owner : int array; (* router that issued the pointer; -1 none *)
+  mutable commit_chased : Id.t array;
+  mutable commit_kind : Trace.kind array; (* Ring or Cache: the committed pointer's *)
+  mutable restarts : int array;
+  mutable guard : int array;
+  mutable msgs : int array;
+  mutable latency : float array;
+  mutable verdict : int array;
+  mutable verdict_vn : Vnode.t array;
+  (* committed-route tails: the hops still to follow, shared with the
+     pointer's source route (no copy, so no length bound) *)
+  mutable route_tail : int list array;
+  (* per-lookup NACK-prune emulation, flattened at stride [excl_cap] *)
+  mutable excl_router : int array;
+  mutable excl_kind : int array;
+  mutable excl_id : Id.t array;
+  mutable excl_n : int array;
+  (* hop log of the current run: (lookup, router, kind, chased id) *)
+  mutable log_lookup : int array;
+  mutable log_router : int array;
+  mutable log_kind : Trace.kind array;
+  mutable log_chased : Id.t array;
+  mutable log_n : int;
+  (* deferred stale-pointer prunes, applied by [apply_nacks] *)
+  mutable nack_owner : int array;
+  mutable nack_cur : int array;
+  mutable nack_chased : Id.t array;
+  mutable nack_n : int;
+  mutable remaining : int;
+  mutable passes : int;
+  (* candidate-selection scratch: one register set reused per step *)
+  mutable sel_some : bool;
+  mutable sel_local : bool;
+  mutable sel_vn : Vnode.t;
+  mutable sel_ptr : Pointer.t;
+  mutable sel_id : Id.t;
+}
+
 type t = {
   graph : Graph.t;
   ls : Linkstate.t;
@@ -57,7 +116,60 @@ type t = {
   vnodes : (Id.t, Vnode.t) Hashtbl.t;
   mutable oracle : Vnode.t Ring.t;
   mutable bootstrap_msgs : int;
+  regs : regs;
 }
+
+let make_regs ?step_limit () =
+  let dummy_vn = Vnode.create Id.zero Vnode.Router_default ~hosted_at:(-1) in
+  {
+    category = Msg.data;
+    counter = ref 0;
+    use_cache = true;
+    step_limit_override = step_limit;
+    exclude = Id.zero;
+    excluding = false;
+    dummy_vn;
+    step_limit = 0;
+    cap = 0;
+    n = 0;
+    origin = [||];
+    target = [||];
+    pos = [||];
+    best = [||];
+    best_valid = [||];
+    commit_owner = [||];
+    commit_chased = [||];
+    commit_kind = [||];
+    restarts = [||];
+    guard = [||];
+    msgs = [||];
+    latency = [||];
+    verdict = [||];
+    verdict_vn = [||];
+    route_tail = [||];
+    excl_router = [||];
+    excl_kind = [||];
+    excl_id = [||];
+    excl_n = [||];
+    log_lookup = Array.make 16 0;
+    log_router = Array.make 16 0;
+    log_kind = Array.make 16 Trace.Ring;
+    log_chased = Array.make 16 Id.zero;
+    log_n = 0;
+    nack_owner = Array.make 8 0;
+    nack_cur = Array.make 8 0;
+    nack_chased = Array.make 8 Id.zero;
+    nack_n = 0;
+    remaining = 0;
+    passes = 0;
+    sel_some = false;
+    sel_local = false;
+    sel_vn = dummy_vn;
+    sel_ptr =
+      Pointer.make Pointer.Cached ~dst:Id.zero ~dst_router:0
+        ~route:(Sourceroute.singleton 0);
+    sel_id = Id.zero;
+  }
 
 let router_id i =
   Id.of_bytes_exn (String.sub (Sha256.digest (Printf.sprintf "router:%d" i)) 0 16)
@@ -120,6 +232,7 @@ let create ?(cfg = default_config) ~rng graph =
       vnodes = Hashtbl.create (4 * n);
       oracle = Ring.empty;
       bootstrap_msgs = 0;
+      regs = make_regs ();
     }
   in
   (* Bootstrap: every router's default vnode joins by flooding its
@@ -181,221 +294,566 @@ type lookup_result = {
   trace : Trace.t;
 }
 
-type candidate = Local of Vnode.t | Remote of Pointer.t
-
-let candidate_id = function
-  | Local vn -> vn.Vnode.id
-  | Remote (p : Pointer.t) -> p.Pointer.dst
-
 (* The walk moves ONE physical hop at a time: Algorithm 2's route() runs at
    every router a message transits, so transit routers can shortcut through
-   their own residents and pointer caches.  The greedy loop itself —
-   closest-without-overshoot ranking, strictly-closer replacement of the
-   committed source route, stale-pointer NACK/restart, step guard — lives in
-   {!Rofl_routing.Walk}; this substrate supplies the router-granularity
-   state: candidate enumeration, source-route commits, per-link charging. *)
-module Lookup_substrate = struct
-  type st = {
-    net : t;
-    target : Id.t;
-    category : string;
-    use_cache : bool;
-    exclude : Id.t option;
-    step_limit : int;
-    mutable msgs : int;
-    mutable latency : float;
-    mutable rev_visited : int list;
-    (* Router that handed out the committed pointer and the identifier it
-       chases: the NACK addressee when the pointer turns out stale. *)
-    mutable commit_src : (int * Id.t) option;
-    mutable commit_kind : Trace.kind;
-    mutable commit_dist : Id.t;
-    tracer : Trace.builder;
+   their own residents and pointer caches.  Each lookup is a row of [regs]
+   and one [step] is one iteration of the greedy loop: guard check,
+   stale-pointer NACK/restart, candidate ranking (closest without
+   overshoot, keep-first ties, so residents and their successor pointers
+   beat an equally close cache entry), then terminal delivery, commit to a
+   strictly closer candidate's source route, continuation along the
+   committed route, or settling for the best local member.  A batch of
+   lookups advances one step per lookup per pass; {!lookup} is a batch of
+   one.
+
+   Stale-pointer NACKs are not applied mid-run: each lookup emulates its
+   own prunes through a bounded exclusion table and queues them for
+   [apply_nacks], which {!lookup} runs after its walk, so lookups in a
+   batch never see each other's side effects and a batch of one
+   reproduces the eager prune exactly.  The one
+   router-state write inside a run is the pointer-cache recency touch of
+   the probed entry, as [Pointer_cache.best_match] does it: recency decides
+   which entry a later insert evicts, never a lookup's own result.
+   Allocation-free apart from amortised register growth, the SPF fallback
+   when a cached route does not start at the current router, and the
+   teardown charge of a NACK. *)
+
+(* Stale-pointer restarts a lookup may take before it stops pruning and
+   settles; each restart records two NACK-prune entries. *)
+let restart_limit = 4
+let excl_cap = 2 * restart_limit
+
+(* Verdict register encoding. *)
+let running = -1
+let v_delivered = 0
+let v_predecessor = 1
+let v_stuck = 2
+
+(* Exclusion kinds: a NACK prunes pointers *and* cache at the owner, but
+   only the cache at the router that detected the staleness. *)
+let ex_full = 1
+let ex_cache = 0
+
+let ensure_capacity r want =
+  if want > r.cap then begin
+    let cap = max want (max 16 (2 * r.cap)) in
+    r.cap <- cap;
+    r.origin <- Array.make cap 0;
+    r.target <- Array.make cap Id.zero;
+    r.pos <- Array.make cap 0;
+    r.best <- Array.make cap Id.zero;
+    r.best_valid <- Array.make cap 0;
+    r.commit_owner <- Array.make cap (-1);
+    r.commit_chased <- Array.make cap Id.zero;
+    r.commit_kind <- Array.make cap Trace.Ring;
+    r.restarts <- Array.make cap 0;
+    r.guard <- Array.make cap 0;
+    r.msgs <- Array.make cap 0;
+    r.latency <- Array.make cap 0.0;
+    r.verdict <- Array.make cap running;
+    r.verdict_vn <- Array.make cap r.dummy_vn;
+    r.route_tail <- Array.make cap [];
+    r.excl_router <- Array.make (cap * excl_cap) 0;
+    r.excl_kind <- Array.make (cap * excl_cap) 0;
+    r.excl_id <- Array.make (cap * excl_cap) Id.zero;
+    r.excl_n <- Array.make cap 0
+  end
+
+let grow a fill =
+  let n = Array.length a in
+  let b = Array.make (2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* -- allocation-free helpers (top-level recursion: no closures) ---------- *)
+
+let rec resident_alive_in id = function
+  | [] -> false
+  | (vn : Vnode.t) :: tl ->
+    (vn.Vnode.alive && Id.equal vn.Vnode.id id) || resident_alive_in id tl
+
+(* Is [id] at router [rt] covered by one of lookup [i]'s emulated prunes?
+   [want_kind] is [ex_full] to match pointer prunes only, [ex_cache] to
+   match any entry (every prune clears the cache at its router). *)
+let rec excl_scan excl_router excl_kind excl_id base stop want_kind rt id k =
+  if k >= stop then false
+  else if
+    excl_router.(base + k) = rt
+    && (want_kind = ex_cache || excl_kind.(base + k) = ex_full)
+    && Id.equal excl_id.(base + k) id
+  then true
+  else excl_scan excl_router excl_kind excl_id base stop want_kind rt id (k + 1)
+
+let pruned r i want_kind rt id =
+  let stop = r.excl_n.(i) in
+  stop > 0
+  && excl_scan r.excl_router r.excl_kind r.excl_id (i * excl_cap) stop want_kind rt id 0
+
+(* The [?exclude] identifier of {!lookup}: never a candidate. *)
+let excluded r id = r.excluding && Id.equal r.exclude id
+
+(* -- candidate selection (keep-first ranking) ---------------------------- *)
+
+let consider_local r i (vn : Vnode.t) =
+  if (not r.sel_some) || Id.closer_clockwise ~target:r.target.(i) vn.Vnode.id r.sel_id
+  then begin
+    r.sel_some <- true;
+    r.sel_local <- true;
+    r.sel_vn <- vn;
+    r.sel_id <- vn.Vnode.id
+  end
+
+let consider_remote r i (p : Pointer.t) =
+  if (not r.sel_some) || Id.closer_clockwise ~target:r.target.(i) p.Pointer.dst r.sel_id
+  then begin
+    r.sel_some <- true;
+    r.sel_local <- false;
+    r.sel_ptr <- p;
+    r.sel_id <- p.Pointer.dst
+  end
+
+(* Pointer routes are recorded from links actually traversed (or SPF
+   paths), so with no failure outstanding ([healthy]) they are valid by
+   construction and the per-hop scan is skipped.  Same-router pointers are
+   covered by local candidates (or are stale): a remote candidate must
+   actually lead elsewhere. *)
+let rec scan_succs net r i cur healthy = function
+  | [] -> ()
+  | (p : Pointer.t) :: tl ->
+    if
+      p.Pointer.dst_router <> cur
+      && (healthy || Sourceroute.is_valid net.ls p.Pointer.route)
+      && (not (excluded r p.Pointer.dst))
+      && not (pruned r i ex_full cur p.Pointer.dst)
+    then consider_remote r i p;
+    scan_succs net r i cur healthy tl
+
+(* Ephemeral identifiers never serve as ring hops (§2.2); they are only
+   candidates when they are the packet's own destination. *)
+let routable r i (vn : Vnode.t) =
+  match vn.Vnode.host_class with
+  | Vnode.Stable | Vnode.Router_default -> true
+  | Vnode.Ephemeral -> Id.equal vn.Vnode.id r.target.(i)
+
+let rec scan_residents net r i cur healthy = function
+  | [] -> ()
+  | (vn : Vnode.t) :: tl ->
+    if vn.Vnode.alive then begin
+      if routable r i vn && not (excluded r vn.Vnode.id) then consider_local r i vn;
+      scan_succs net r i cur healthy vn.Vnode.succs
+    end;
+    scan_residents net r i cur healthy tl
+
+(* Predecessor scan over the cache's ring order skipping entries this
+   lookup has (virtually) pruned — what [Cursor.lt] would return had the
+   prunes been applied.  Wrap-bounded: after [excl_cap] skips, or once back
+   at the start, the pruned cache holds nothing eligible. *)
+let rec skip_pruned r i cur cache start c steps =
+  if Cursor.is_none c then c
+  else if not (pruned r i ex_cache cur (Cursor.id_at cache c)) then c
+  else if steps >= excl_cap then Cursor.none
+  else begin
+    let c' = Cursor.prev cache c in
+    if Cursor.equal c' start then Cursor.none
+    else skip_pruned r i cur cache start c' (steps + 1)
+  end
+
+(* [Pointer_cache.best_match ~cur:target ~target] over the prune-adjusted
+   cache: exact hit first, else the ring predecessor of the target (the
+   [between_incl target _ target] acceptance is the full ring, so any
+   predecessor qualifies).  The probed entry's recency is touched whether
+   or not it then qualifies, exactly as [best_match] touches what it
+   returns. *)
+let cache_probe net r i cur healthy =
+  let target = r.target.(i) in
+  let cache = net.routers.(cur).cache in
+  let c =
+    let cf = Cursor.find cache target in
+    if (not (Cursor.is_none cf)) && not (pruned r i ex_cache cur target) then cf
+    else begin
+      let start = Cursor.lt cache target in
+      skip_pruned r i cur cache start start 0
+    end
+  in
+  if not (Cursor.is_none c) then begin
+    Pointer_cache.touch cache c;
+    let p = Cursor.value_at cache c in
+    if
+      p.Pointer.dst_router <> cur
+      && (healthy || Sourceroute.is_valid net.ls p.Pointer.route)
+      && not (excluded r p.Pointer.dst)
+    then consider_remote r i p
+  end
+
+(* Enumeration order encodes tie precedence: residents (and their
+   successor pointers) first, the cache shortcut last. *)
+let select net r i cur =
+  r.sel_some <- false;
+  let healthy = Linkstate.healthy net.ls in
+  scan_residents net r i cur healthy net.routers.(cur).residents;
+  if r.use_cache then cache_probe net r i cur healthy
+
+(* -- verdicts ------------------------------------------------------------ *)
+
+let finish_stuck r i = r.verdict.(i) <- v_stuck
+
+let finish_local r i (vn : Vnode.t) =
+  r.verdict_vn.(i) <- vn;
+  r.verdict.(i) <-
+    (if Id.equal vn.Vnode.id r.target.(i) then v_delivered else v_predecessor)
+
+let rec settle_scan r i = function
+  | [] -> ()
+  | (vn : Vnode.t) :: tl ->
+    if
+      vn.Vnode.alive
+      && routable r i vn
+      && (not (excluded r vn.Vnode.id))
+      && ((not r.sel_some) || Id.closer_clockwise ~target:r.target.(i) vn.Vnode.id r.sel_id)
+    then begin
+      r.sel_some <- true;
+      r.sel_vn <- vn;
+      r.sel_id <- vn.Vnode.id
+    end;
+    settle_scan r i tl
+
+(* Recovery exhausted: settle for the best eligible local resident. *)
+let finish_settle net r i cur =
+  r.sel_some <- false;
+  settle_scan r i net.routers.(cur).residents;
+  if r.sel_some then finish_local r i r.sel_vn else finish_stuck r i
+
+(* -- hop log -------------------------------------------------------------- *)
+
+let log_hop r i router kind chased =
+  if r.log_n >= Array.length r.log_router then begin
+    r.log_lookup <- grow r.log_lookup 0;
+    r.log_router <- grow r.log_router 0;
+    r.log_kind <- grow r.log_kind Trace.Ring;
+    r.log_chased <- grow r.log_chased Id.zero
+  end;
+  let k = r.log_n in
+  r.log_lookup.(k) <- i;
+  r.log_router.(k) <- router;
+  r.log_kind.(k) <- kind;
+  r.log_chased.(k) <- chased;
+  r.log_n <- k + 1
+
+(* -- committed routes ---------------------------------------------------- *)
+
+let route_done r i =
+  match r.route_tail.(i) with
+  | [] -> true
+  | _ :: _ -> false
+
+let commit_route net r i cur (p : Pointer.t) =
+  match Sourceroute.hops p.Pointer.route with
+  | hd :: rest when hd = cur ->
+    r.route_tail.(i) <- rest;
+    true
+  | _ -> (
+    (* Route does not start here (cached suffix mismatch): fall back to the
+       network map — a cold path, allocation accepted. *)
+    match Linkstate.path net.ls cur p.Pointer.dst_router with
+    | Some (_ :: rest) ->
+      r.route_tail.(i) <- rest;
+      true
+    | Some [] | None -> false)
+
+(* One physical hop along the committed route: charge, count, accumulate
+   latency, log.  The adjacency scan folds the static link check and the
+   latency lookup into one alloc-free list walk. *)
+let rec adj_step r i next = function
+  | [] -> false
+  | (w, l) :: tl ->
+    if w = next then begin
+      r.latency.(i) <- r.latency.(i) +. l;
+      true
+    end
+    else adj_step r i next tl
+
+let follow_one net r i =
+  match r.route_tail.(i) with
+  | [] ->
+    (* Empty committed tail: blocked. *)
+    finish_stuck r i;
+    false
+  | next :: rest ->
+    let cur = r.pos.(i) in
+    if adj_step r i next (Graph.neighbors net.graph cur) then begin
+      Metrics.charge_hop_via net.metrics r.counter next;
+      r.msgs.(i) <- r.msgs.(i) + 1;
+      r.route_tail.(i) <- rest;
+      r.pos.(i) <- next;
+      r.guard.(i) <- r.guard.(i) + 1;
+      log_hop r i next r.commit_kind.(i) r.commit_chased.(i);
+      true
+    end
+    else begin
+      finish_stuck r i;
+      false
+    end
+
+(* -- stale-pointer NACK (cold path; emulated, deferred) ------------------ *)
+
+let add_excl r i router kind id =
+  let n = r.excl_n.(i) in
+  if n < excl_cap then begin
+    let at = (i * excl_cap) + n in
+    r.excl_router.(at) <- router;
+    r.excl_kind.(at) <- kind;
+    r.excl_id.(at) <- id;
+    r.excl_n.(i) <- n + 1
+  end
+
+let push_nack r cur owner chased =
+  if r.nack_n >= Array.length r.nack_owner then begin
+    r.nack_owner <- grow r.nack_owner 0;
+    r.nack_cur <- grow r.nack_cur 0;
+    r.nack_chased <- grow r.nack_chased Id.zero
+  end;
+  r.nack_owner.(r.nack_n) <- owner;
+  r.nack_cur.(r.nack_n) <- cur;
+  r.nack_chased.(r.nack_n) <- chased;
+  r.nack_n <- r.nack_n + 1
+
+(* Negative acknowledgement: the router that handed out a pointer to an
+   identifier no longer resident at its target prunes it (the lazy probe
+   repair of group tails, §4.1).  The teardown travels the SPF path back
+   to the pointer's owner now; the prune itself is deferred. *)
+let emit_nack net r i cur owner chased =
+  (match Linkstate.path net.ls cur owner with
+   | Some hops -> Charge.path net.metrics Msg.teardown hops
+   | None -> ());
+  add_excl r i owner ex_full chased;
+  add_excl r i cur ex_cache chased;
+  push_nack r cur owner chased;
+  log_hop r i cur Trace.Backtrack chased
+
+(* -- one iteration of the greedy loop ------------------------------------ *)
+
+let step net r i =
+  if r.guard.(i) > r.step_limit then begin
+    finish_stuck r i;
+    false
+  end
+  else begin
+    let cur = r.pos.(i) in
+    let owner = r.commit_owner.(i) in
+    let exhausted_now = owner < 0 || route_done r i in
+    if
+      exhausted_now
+      && r.restarts.(i) < restart_limit
+      && owner >= 0
+      && not (resident_alive_in r.commit_chased.(i) net.routers.(cur).residents)
+    then begin
+      (* Arrived where the chased identifier should live, but it is gone:
+         stale pointer pruned (NACK), restart from here with a cleared
+         horizon. *)
+      emit_nack net r i cur owner r.commit_chased.(i);
+      r.commit_owner.(i) <- -1;
+      r.best_valid.(i) <- 0;
+      r.restarts.(i) <- r.restarts.(i) + 1;
+      r.guard.(i) <- r.guard.(i) + 1;
+      true
+    end
+    else begin
+      select net r i cur;
+      if not r.sel_some then begin
+        finish_stuck r i;
+        false
+      end
+      else if r.sel_local then begin
+        (* The closest known identifier is resident right here: the target
+           itself, or (its successors all overshooting) its predecessor. *)
+        finish_local r i r.sel_vn;
+        false
+      end
+      else begin
+        let cid = r.sel_id in
+        let commit_now =
+          if r.best_valid.(i) = 1 then Id.closer_clockwise ~target:r.target.(i) cid r.best.(i)
+          else
+            (* Cleared horizon: the register is [succ target], the unique
+               identifier at maximal clockwise distance, so "strictly
+               closer" is "distance to target below the ring maximum" —
+               testable against the constant (zero, max_value) span without
+               materialising the sentinel. *)
+            Id.compare_dist cid r.target.(i) Id.zero Id.max_value < 0
+        in
+        if commit_now then begin
+          let p = r.sel_ptr in
+          r.commit_owner.(i) <- cur;
+          r.commit_chased.(i) <- p.Pointer.dst;
+          r.commit_kind.(i) <-
+            (match p.Pointer.kind with
+             | Pointer.Cached -> Trace.Cache
+             | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
+          if commit_route net r i cur p then begin
+            if follow_one net r i then begin
+              r.best.(i) <- cid;
+              r.best_valid.(i) <- 1;
+              true
+            end
+            else false
+          end
+          else begin
+            finish_stuck r i;
+            false
+          end
+        end
+        else if owner >= 0 && not (route_done r i) then
+          (* Nothing closer here; keep following the committed route. *)
+          follow_one net r i
+        else begin
+          finish_settle net r i cur;
+          false
+        end
+      end
+    end
+  end
+
+(* -- runs ------------------------------------------------------------------ *)
+
+(* Start a run of [n] lookups: the step guard follows ring occupancy, the
+   category cell is resolved afresh (a [Metrics.reset] drops old cells),
+   and the hop log and NACK worklist restart ([lookup] applies its prunes
+   before it returns; an {!Engine} run's are dropped here). *)
+let begin_run net r n =
+  ensure_capacity r n;
+  r.n <- n;
+  r.step_limit <-
+    (match r.step_limit_override with
+     | Some s -> s
+     | None -> (4 * Graph.n net.graph) + (2 * Ring.cardinal net.oracle) + 16);
+  r.counter <- Metrics.handle net.metrics r.category;
+  r.log_n <- 0;
+  r.nack_n <- 0
+
+let load net r i ~from ~target =
+  r.origin.(i) <- from;
+  r.target.(i) <- target;
+  r.pos.(i) <- from;
+  r.best_valid.(i) <- 0;
+  r.commit_owner.(i) <- -1;
+  r.restarts.(i) <- 0;
+  r.guard.(i) <- 0;
+  r.msgs.(i) <- 0;
+  r.latency.(i) <- 0.0;
+  r.verdict.(i) <- running;
+  r.route_tail.(i) <- [];
+  r.excl_n.(i) <- 0;
+  (* Injection: load at the origin, no message (Charge.inject's net). *)
+  Metrics.charge_load net.metrics from
+
+let drive net r =
+  r.remaining <- r.n;
+  r.passes <- 0;
+  while r.remaining > 0 do
+    r.passes <- r.passes + 1;
+    for i = 0 to r.n - 1 do
+      if r.verdict.(i) = running && not (step net r i) then r.remaining <- r.remaining - 1
+    done
+  done
+
+(* Apply the deferred prunes: drop the owner's pointers to each chased
+   identifier and evict it from the owner's and the detector's caches. *)
+let apply_nacks net r =
+  for k = 0 to r.nack_n - 1 do
+    let owner = r.nack_owner.(k) and cur = r.nack_cur.(k) and chased = r.nack_chased.(k) in
+    List.iter
+      (fun (vn : Vnode.t) ->
+        ignore (Vnode.drop_pointers_if vn (fun (p : Pointer.t) -> Id.equal p.Pointer.dst chased)))
+      net.routers.(owner).residents;
+    Pointer_cache.remove net.routers.(owner).cache chased;
+    Pointer_cache.remove net.routers.(cur).cache chased
+  done;
+  r.nack_n <- 0
+
+let status_of r i =
+  match r.verdict.(i) with
+  | 0 -> Delivered r.verdict_vn.(i)
+  | 1 -> Predecessor r.verdict_vn.(i)
+  | 2 -> Stuck r.pos.(i)
+  | _ -> invalid_arg "Network: lookup still in flight"
+
+(* [visited] and [trace] of lookup [i], built once from the hop log. *)
+let result_of r i =
+  let target = r.target.(i) in
+  let visited = ref [] and trace = ref [] in
+  for k = r.log_n - 1 downto 0 do
+    if r.log_lookup.(k) = i then begin
+      let router = r.log_router.(k) and kind = r.log_kind.(k) in
+      (match kind with
+       | Trace.Backtrack -> ()
+       | Trace.Ring | Trace.Cache | Trace.Flood -> visited := router :: !visited);
+      trace :=
+        {
+          Trace.kind;
+          router;
+          level = "intra";
+          dist = Id.distance r.log_chased.(k) target;
+        }
+        :: !trace
+    end
+  done;
+  {
+    status = status_of r i;
+    msgs = r.msgs.(i);
+    latency_ms = r.latency.(i);
+    visited = r.origin.(i) :: !visited;
+    trace = !trace;
   }
 
-  type pos = int
-  type cand = candidate
-  type route = int list
-  type verdict = lookup_result
-
-  let max_steps st = st.step_limit
-  let restart_limit _ = 4
-  let horizon = `Persistent
-  let arrived _ _ = None
-  let prepare _ cur = cur
-
-  let finish st status =
-    {
-      status;
-      msgs = st.msgs;
-      latency_ms = st.latency;
-      visited = List.rev st.rev_visited;
-      trace = Trace.events st.tracer;
-    }
-
-  let resident_alive st cur id =
-    List.exists
-      (fun (vn : Vnode.t) -> vn.Vnode.alive && Id.equal vn.Vnode.id id)
-      st.net.routers.(cur).residents
-
-  (* Negative acknowledgement: the router that handed out a pointer to an
-     identifier no longer resident at its target prunes it (the lazy probe
-     repair of group tails, §4.1). *)
-  let nack st cur owner chased =
-    let t = st.net in
-    let _ = charge_spf t Msg.teardown cur owner in
-    List.iter
-      (fun (vn : Vnode.t) ->
-        ignore
-          (Vnode.drop_pointers_if vn (fun (p : Pointer.t) -> Id.equal p.Pointer.dst chased)))
-      t.routers.(owner).residents;
-    Pointer_cache.remove t.routers.(owner).cache chased;
-    Pointer_cache.remove t.routers.(cur).cache chased
-
-  let stale_commit st cur =
-    match st.commit_src with
-    | Some (owner, chased) when not (resident_alive st cur chased) ->
-      (* Arrived where the chased identifier should live, but it is gone:
-         stale pointer. *)
-      nack st cur owner chased;
-      Trace.record st.tracer ~kind:Trace.Backtrack ~router:cur ~level:"intra"
-        ~dist:(Id.distance chased st.target);
-      st.commit_src <- None;
-      true
-    | Some _ | None -> false
-
-  let target st = st.target
-  let cand_id _st c = candidate_id c
-
-  (* Enumeration order encodes tie precedence for {!Walk.best}: residents
-     (and their successor pointers) first, the cache shortcut last. *)
-  let candidates st cur =
-    let t = st.net in
-    let r = t.routers.(cur) in
-    (* Pointer routes are recorded from links actually traversed (or SPF
-       paths), so consecutive pairs are always graph links: with no failure
-       outstanding they are valid by construction and the per-hop scan can
-       be skipped. *)
-    let healthy = Linkstate.healthy t.ls in
-    let route_valid route = healthy || Sourceroute.is_valid t.ls route in
-    let excluded id = match st.exclude with Some e -> Id.equal e id | None -> false in
-    let acc = ref [] in
-    let consider c = if not (excluded (candidate_id c)) then acc := c :: !acc in
-    List.iter
-      (fun (vn : Vnode.t) ->
-        if vn.Vnode.alive then begin
-          (* Ephemeral identifiers never serve as ring hops (§2.2); they are
-             only candidates when they are the packet's own destination. *)
-          let routable =
-            match vn.Vnode.host_class with
-            | Vnode.Stable | Vnode.Router_default -> true
-            | Vnode.Ephemeral -> Id.equal vn.Vnode.id st.target
-          in
-          if routable then consider (Local vn);
-          List.iter
-            (fun (p : Pointer.t) ->
-              (* Same-router pointers are covered by Local candidates (or are
-                 stale); a remote candidate must actually lead elsewhere. *)
-              if p.Pointer.dst_router <> r.idx && route_valid p.Pointer.route
-              then consider (Remote p))
-            vn.Vnode.succs
-        end)
-      r.residents;
-    if st.use_cache then begin
-      let c = Pointer_cache.best_match r.cache ~cur:st.target ~target:st.target in
-      if not (Pointer_cache.Cursor.is_none c) then begin
-        let p = Pointer_cache.Cursor.value_at r.cache c in
-        if p.Pointer.dst_router <> r.idx && route_valid p.Pointer.route then
-          consider (Remote p)
-      end
-    end;
-    List.rev !acc
-
-  let deliver_here st _cur = function
-    | Local vn when Id.equal vn.Vnode.id st.target -> Some (finish st (Delivered vn))
-    | Local vn ->
-      (* The closest known identifier is resident right here and its
-         successors all overshoot: this vnode is the predecessor. *)
-      Some (finish st (Predecessor vn))
-    | Remote _ -> None
-
-  let commit st cur = function
-    | Local _ -> None (* unreachable: deliver_here terminates on locals *)
-    | Remote (p : Pointer.t) ->
-      st.commit_src <- Some (cur, p.Pointer.dst);
-      st.commit_kind <-
-        (match p.Pointer.kind with
-         | Pointer.Cached -> Trace.Cache
-         | Pointer.Successor | Pointer.Predecessor | Pointer.Finger -> Trace.Ring);
-      st.commit_dist <- Id.distance p.Pointer.dst st.target;
-      (match Sourceroute.hops p.Pointer.route with
-       | hd :: rest when hd = cur -> Some rest
-       | _ ->
-         (* Route does not start here (cached suffix mismatch): fall back to
-            the network map. *)
-         (match Linkstate.path st.net.ls cur p.Pointer.dst_router with
-          | Some (_ :: rest) -> Some rest
-          | Some [] | None -> None))
-
-  let exhausted = function [] -> true | _ :: _ -> false
-
-  let follow st cur = function
-    | next :: rest when Graph.has_link st.net.graph cur next ->
-      Charge.hop st.net.metrics st.category next;
-      st.msgs <- st.msgs + 1;
-      st.latency <- st.latency +. Graph.latency st.net.graph cur next;
-      st.rev_visited <- next :: st.rev_visited;
-      Trace.record st.tracer ~kind:st.commit_kind ~router:next ~level:"intra"
-        ~dist:st.commit_dist;
-      Walk.Stepped (next, rest)
-    | _ :: _ | [] -> Walk.Blocked
-
-  let no_candidate st cur = finish st (Stuck cur)
-  let stuck st cur = finish st (Stuck cur)
-
-  (* Recovery exhausted: settle for the best local member. *)
-  let settle st cur =
-    let eligible =
-      List.filter
-        (fun (vn : Vnode.t) ->
-          vn.Vnode.alive
-          && (match vn.Vnode.host_class with
-             | Vnode.Ephemeral -> Id.equal vn.Vnode.id st.target
-             | Vnode.Stable | Vnode.Router_default -> true)
-          &&
-          match st.exclude with Some e -> not (Id.equal e vn.Vnode.id) | None -> true)
-        st.net.routers.(cur).residents
-    in
-    match
-      Walk.best ~target:st.target ~id_of:(fun (vn : Vnode.t) -> vn.Vnode.id) eligible
-    with
-    | Some vn when Id.equal vn.Vnode.id st.target -> finish st (Delivered vn)
-    | Some vn -> finish st (Predecessor vn)
-    | None -> finish st (Stuck cur)
-end
-
-module Lookup_walk = Walk.Make (Lookup_substrate)
-
 let lookup ?exclude t ~from ~target ~category ~use_cache =
-  let st =
-    {
-      Lookup_substrate.net = t;
-      target;
-      category;
-      use_cache;
-      exclude;
-      step_limit = (4 * Graph.n t.graph) + (2 * Ring.cardinal t.oracle) + 16;
-      msgs = 0;
-      latency = 0.0;
-      rev_visited = [ from ];
-      commit_src = None;
-      commit_kind = Trace.Ring;
-      commit_dist = Id.max_value;
-      tracer = Trace.builder ();
-    }
-  in
-  Charge.inject t.metrics category from;
-  Lookup_walk.run st ~start:from
+  let r = t.regs in
+  r.category <- category;
+  r.use_cache <- use_cache;
+  (match exclude with
+   | Some e ->
+     r.exclude <- e;
+     r.excluding <- true
+   | None -> r.excluding <- false);
+  begin_run t r 1;
+  load t r 0 ~from ~target;
+  drive t r;
+  apply_nacks t r;
+  result_of r 0
+
+module Engine = struct
+  type net = t
+
+  type nonrec t = { net : net; regs : regs }
+
+  let create ?step_limit net = { net; regs = make_regs ?step_limit () }
+
+  let run e ~from ~targets =
+    let n = Array.length targets in
+    if Array.length from <> n then invalid_arg "Network.Engine.run: from/targets length mismatch";
+    begin_run e.net e.regs n;
+    for i = 0 to n - 1 do
+      load e.net e.regs i ~from:from.(i) ~target:targets.(i)
+    done;
+    drive e.net e.regs
+
+  let check e i =
+    if i < 0 || i >= e.regs.n then invalid_arg "Network.Engine: lookup index out of batch"
+
+  let batch_size e = e.regs.n
+  let passes e = e.regs.passes
+
+  let status e i =
+    check e i;
+    status_of e.regs i
+
+  let result e i =
+    check e i;
+    result_of e.regs i
+
+  let msgs e i = e.regs.msgs.(i)
+  let latency_ms e i = e.regs.latency.(i)
+  let restarts e i = e.regs.restarts.(i)
+end
 
 let find_vnode t id = Hashtbl.find_opt t.vnodes id
 

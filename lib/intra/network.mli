@@ -39,6 +39,11 @@ type router = {
   attachments : (Id.t, int) Hashtbl.t;
 }
 
+type regs
+(** A lookup register file: flat per-lookup registers, a hop log and a
+    deferred NACK worklist, grown geometrically and reused across runs
+    (see {!lookup} and {!Engine}). *)
+
 type t = {
   graph : Rofl_topology.Graph.t;
   ls : Rofl_linkstate.Linkstate.t;
@@ -49,6 +54,10 @@ type t = {
   vnodes : (Id.t, Vnode.t) Hashtbl.t; (** every alive vnode, any class *)
   mutable oracle : Vnode.t Ring.t;    (** ring members (default + stable) *)
   mutable bootstrap_msgs : int;       (** flood cost of router bootstrap *)
+  regs : regs;
+  (** the register file {!lookup} runs on.  It makes a network
+      single-domain: one net is used by one domain at a time (lookups
+      already charge [metrics] and mutate caches). *)
 }
 
 val create : ?cfg:config -> rng:Rofl_util.Prng.t -> Rofl_topology.Graph.t -> t
@@ -79,7 +88,69 @@ val lookup :
     pointers, pointer-cache) picks the next source route (Algorithm 2
     generalised to termination at the predecessor).  [exclude] removes one
     identifier from candidacy — used when an existing member re-joins and
-    must not find itself. *)
+    must not find itself.
+
+    A batch of one on the network's own register file ({!Engine}'s walk),
+    followed by the lookup's stale-pointer prunes.  Allocation-free apart
+    from building [visited] and [trace] from the hop log at the end (and
+    the cold paths {!Engine} lists).  The probed pointer-cache entry at
+    each router gets its recency touched, as [Pointer_cache.best_match]
+    does. *)
+
+(** The batched intradomain data plane: the walk {!lookup} runs, over a
+    struct-of-arrays batch of in-flight lookups advanced one walk-iteration
+    per pass.
+
+    Per-lookup state (position, committed horizon and route tail, NACK
+    owner and chased identifier, restart budget, step guard, verdict) lives
+    in flat int/float registers, so a pass touches the batch with no
+    per-hop closures, lists or tuples.  The hot loop allocates nothing in
+    steady state.  Cold paths may allocate: the SPF fallback when a cached
+    route does not start at the current router, and the teardown charge of
+    a stale-pointer NACK.
+
+    Lookups in a run never see each other's side effects.  Each lookup
+    emulates its own stale-pointer prunes through a bounded exclusion table,
+    so a batch's verdicts equal those of running its lookups one at a time
+    from the same state.  {!lookup} applies its prunes to router state
+    before it returns; an [Engine] run leaves them unapplied, so its only
+    router-state write is the pointer-cache recency touch.  In a
+    multi-lookup batch those touches interleave by pass, which can leave a
+    different recency order (never a different verdict) than one at a
+    time.  Hops are charged to the [data] category, with caches on. *)
+module Engine : sig
+  type net := t
+  type t
+
+  val create : ?step_limit:int -> net -> t
+  (** A register file of its own bound to a network.  [step_limit]
+      overrides the step guard, which by default follows ring occupancy at
+      each {!run}. *)
+
+  val run : t -> from:int array -> targets:Id.t array -> unit
+  (** Load a batch (lookup [i] starts at router [from.(i)] toward
+      [targets.(i)]) and drive every lookup to a verdict.  Results stay
+      valid until the next [run]. *)
+
+  val batch_size : t -> int
+
+  val passes : t -> int
+  (** Passes the last {!run} needed (the longest walk's iteration count). *)
+
+  val status : t -> int -> lookup_status
+
+  val result : t -> int -> lookup_result
+  (** What {!lookup} would have returned for lookup [i] (builds [visited]
+      and [trace] by scanning the run's hop log). *)
+
+  val msgs : t -> int -> int
+  (** Link traversals charged to lookup [i]. *)
+
+  val latency_ms : t -> int -> float
+
+  val restarts : t -> int -> int
+  (** Stale-pointer restarts lookup [i] consumed. *)
+end
 
 type join_outcome = {
   vnode : Vnode.t;

@@ -18,10 +18,12 @@ let create ~routers =
     promo_rejects = 0;
   }
 
+(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing, which
+   keeps per-lookup counter resolution off the minor heap. *)
 let counter m category =
-  match Hashtbl.find_opt m.counts category with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find m.counts category with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add m.counts category r;
     r

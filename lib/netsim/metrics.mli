@@ -16,7 +16,9 @@ val handle : t -> string -> int ref
 (** Interned counter cell for a category: hoists the hashtable probe out of
     hot loops so per-hop charging is allocation-free.  The same cell
     {!charge_hop}/{!incr} update — counts stay coherent however they are
-    charged. *)
+    charged.  {!reset} drops every cell, so a handle is only good until the
+    next reset; resolving it again (no allocation once the category
+    exists) is the safe pattern. *)
 
 val charge_hop_via : t -> int ref -> int -> unit
 (** {!charge_hop} through a pre-interned {!handle}: bumps the cell and the

@@ -1,15 +1,17 @@
-(* Equivalence guard for the shared greedy ring-walk core (lib/routing).
+(* Equivalence guard for the greedy ring walks: [Rofl_intra.Network.lookup]
+   (the intradomain register engine) and [Rofl_inter.Route.route_from]
+   (the one instance of [Rofl_routing.Walk]).
 
    The golden lines below are the behavioural fingerprint of the seed
-   implementations of [Rofl_intra.Network.lookup] and
-   [Rofl_inter.Route.route_from], recorded before those walks were ported
-   onto [Rofl_routing.Walk].  The scenarios exercise every branch the
-   functor owns: greedy ranking with keep-first ties, cache shortcuts that
-   must be strictly closer, stale-pointer NACK/restart (the poisoned-cache
-   lookup), bloom-filter peer crossings and false-positive backtracking
-   (the [fpr] variant), and departed-destination failures.  If a refactor
-   of the walk core changes any delivery status, hop count, latency, or
-   metrics total here, this test fails. *)
+   implementations of both walks, recorded before they were ported onto
+   the shared walk core; the intradomain walk has since moved onto the
+   register engine without changing a line.  The scenarios exercise greedy
+   ranking with keep-first ties, cache shortcuts that must be strictly
+   closer, stale-pointer NACK/restart (the poisoned-cache lookup),
+   bloom-filter peer crossings and false-positive backtracking (the [fpr]
+   variant), and departed-destination failures.  If a refactor of either
+   walk changes any delivery status, hop count, latency, or metrics total
+   here, this test fails. *)
 
 module Id = Rofl_idspace.Id
 module Prng = Rofl_util.Prng
@@ -141,10 +143,9 @@ let inter_fingerprint ~name cfg =
   let route k src dst =
     let r = Route.route_from net ~src ~dst in
     results := r :: !results;
-    add "inter[%s]#%d del=%b as=%d ptr=%d cache=%d peer=%d back=%d breadth=%d path=%d"
+    add "inter[%s]#%d del=%b as=%d ptr=%d cache=%d peer=%d back=%d path=%d"
       name k r.Route.delivered r.Route.as_hops r.Route.pointer_hops r.Route.cache_hops
       r.Route.peer_crossings r.Route.backtracks
-      (if r.Route.max_level_breadth = max_int then -1 else r.Route.max_level_breadth)
       (List.length r.Route.as_path)
   in
   for k = 0 to 24 do
@@ -230,33 +231,33 @@ let golden_intra =
 let golden_inter_default =
   [
     "inter[default]-joins hosts=120";
-    "inter[default]#0 del=true as=12 ptr=3 cache=0 peer=0 back=0 breadth=61 path=13";
-    "inter[default]#1 del=true as=28 ptr=6 cache=0 peer=0 back=0 breadth=71 path=29";
-    "inter[default]#2 del=true as=82 ptr=18 cache=0 peer=0 back=0 breadth=-1 path=83";
-    "inter[default]#3 del=true as=27 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=28";
-    "inter[default]#4 del=true as=8 ptr=2 cache=0 peer=0 back=0 breadth=-1 path=9";
-    "inter[default]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 breadth=19 path=8";
-    "inter[default]#6 del=true as=64 ptr=12 cache=0 peer=0 back=0 breadth=-1 path=65";
-    "inter[default]#7 del=true as=14 ptr=4 cache=0 peer=0 back=0 breadth=61 path=15";
-    "inter[default]#8 del=true as=6 ptr=3 cache=0 peer=0 back=0 breadth=9 path=7";
-    "inter[default]#9 del=true as=11 ptr=4 cache=0 peer=0 back=0 breadth=31 path=12";
-    "inter[default]#10 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=-1 path=5";
-    "inter[default]#11 del=true as=9 ptr=3 cache=0 peer=0 back=0 breadth=30 path=10";
-    "inter[default]#12 del=true as=25 ptr=6 cache=0 peer=0 back=0 breadth=-1 path=26";
-    "inter[default]#13 del=true as=7 ptr=1 cache=0 peer=0 back=0 breadth=-1 path=8";
-    "inter[default]#14 del=true as=66 ptr=15 cache=0 peer=0 back=0 breadth=-1 path=67";
-    "inter[default]#15 del=true as=17 ptr=5 cache=0 peer=0 back=0 breadth=71 path=18";
-    "inter[default]#16 del=true as=20 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=21";
-    "inter[default]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=16 path=5";
-    "inter[default]#18 del=true as=31 ptr=6 cache=0 peer=0 back=0 breadth=-1 path=32";
-    "inter[default]#19 del=true as=30 ptr=9 cache=0 peer=0 back=0 breadth=61 path=31";
-    "inter[default]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 breadth=5 path=6";
-    "inter[default]#21 del=true as=26 ptr=6 cache=0 peer=0 back=0 breadth=47 path=27";
-    "inter[default]#22 del=true as=15 ptr=4 cache=0 peer=0 back=0 breadth=-1 path=16";
-    "inter[default]#23 del=true as=15 ptr=4 cache=0 peer=0 back=0 breadth=61 path=16";
-    "inter[default]#24 del=true as=21 ptr=7 cache=0 peer=0 back=0 breadth=30 path=22";
-    "inter[default]#25 del=false as=11 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=12";
-    "inter[default]#26 del=false as=31 ptr=10 cache=0 peer=0 back=0 breadth=-1 path=32";
+    "inter[default]#0 del=true as=12 ptr=3 cache=0 peer=0 back=0 path=13";
+    "inter[default]#1 del=true as=28 ptr=6 cache=0 peer=0 back=0 path=29";
+    "inter[default]#2 del=true as=82 ptr=18 cache=0 peer=0 back=0 path=83";
+    "inter[default]#3 del=true as=27 ptr=5 cache=0 peer=0 back=0 path=28";
+    "inter[default]#4 del=true as=8 ptr=2 cache=0 peer=0 back=0 path=9";
+    "inter[default]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 path=8";
+    "inter[default]#6 del=true as=64 ptr=12 cache=0 peer=0 back=0 path=65";
+    "inter[default]#7 del=true as=14 ptr=4 cache=0 peer=0 back=0 path=15";
+    "inter[default]#8 del=true as=6 ptr=3 cache=0 peer=0 back=0 path=7";
+    "inter[default]#9 del=true as=11 ptr=4 cache=0 peer=0 back=0 path=12";
+    "inter[default]#10 del=true as=4 ptr=1 cache=0 peer=0 back=0 path=5";
+    "inter[default]#11 del=true as=9 ptr=3 cache=0 peer=0 back=0 path=10";
+    "inter[default]#12 del=true as=25 ptr=6 cache=0 peer=0 back=0 path=26";
+    "inter[default]#13 del=true as=7 ptr=1 cache=0 peer=0 back=0 path=8";
+    "inter[default]#14 del=true as=66 ptr=15 cache=0 peer=0 back=0 path=67";
+    "inter[default]#15 del=true as=17 ptr=5 cache=0 peer=0 back=0 path=18";
+    "inter[default]#16 del=true as=20 ptr=3 cache=0 peer=0 back=0 path=21";
+    "inter[default]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 path=5";
+    "inter[default]#18 del=true as=31 ptr=6 cache=0 peer=0 back=0 path=32";
+    "inter[default]#19 del=true as=30 ptr=9 cache=0 peer=0 back=0 path=31";
+    "inter[default]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 path=6";
+    "inter[default]#21 del=true as=26 ptr=6 cache=0 peer=0 back=0 path=27";
+    "inter[default]#22 del=true as=15 ptr=4 cache=0 peer=0 back=0 path=16";
+    "inter[default]#23 del=true as=15 ptr=4 cache=0 peer=0 back=0 path=16";
+    "inter[default]#24 del=true as=21 ptr=7 cache=0 peer=0 back=0 path=22";
+    "inter[default]#25 del=false as=11 ptr=3 cache=0 peer=0 back=0 path=12";
+    "inter[default]#26 del=false as=31 ptr=10 cache=0 peer=0 back=0 path=32";
     "inter[default]-cat data=596";
     "inter[default]-cat join=2705";
     "inter[default]-cat join-reply=1253";
@@ -266,33 +267,33 @@ let golden_inter_default =
 let golden_inter_bloom =
   [
     "inter[bloom]-joins hosts=120";
-    "inter[bloom]#0 del=true as=10 ptr=2 cache=0 peer=1 back=0 breadth=61 path=11";
-    "inter[bloom]#1 del=true as=9 ptr=2 cache=1 peer=0 back=0 breadth=71 path=10";
-    "inter[bloom]#2 del=true as=11 ptr=3 cache=1 peer=0 back=0 breadth=-1 path=12";
-    "inter[bloom]#3 del=true as=11 ptr=2 cache=0 peer=0 back=0 breadth=-1 path=12";
-    "inter[bloom]#4 del=true as=9 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=10";
-    "inter[bloom]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 breadth=19 path=8";
-    "inter[bloom]#6 del=true as=7 ptr=3 cache=1 peer=0 back=0 breadth=-1 path=8";
-    "inter[bloom]#7 del=true as=9 ptr=2 cache=1 peer=0 back=0 breadth=61 path=10";
-    "inter[bloom]#8 del=true as=10 ptr=2 cache=1 peer=1 back=0 breadth=61 path=11";
-    "inter[bloom]#9 del=true as=5 ptr=1 cache=1 peer=0 back=0 breadth=0 path=6";
-    "inter[bloom]#10 del=true as=15 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=16";
-    "inter[bloom]#11 del=true as=3 ptr=1 cache=0 peer=0 back=0 breadth=30 path=4";
-    "inter[bloom]#12 del=true as=9 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=10";
-    "inter[bloom]#13 del=true as=9 ptr=2 cache=0 peer=0 back=0 breadth=-1 path=10";
-    "inter[bloom]#14 del=true as=11 ptr=3 cache=2 peer=0 back=0 breadth=-1 path=12";
-    "inter[bloom]#15 del=true as=8 ptr=2 cache=2 peer=0 back=0 breadth=0 path=9";
-    "inter[bloom]#16 del=true as=11 ptr=2 cache=1 peer=1 back=0 breadth=-1 path=12";
-    "inter[bloom]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=16 path=5";
-    "inter[bloom]#18 del=true as=15 ptr=3 cache=1 peer=1 back=0 breadth=-1 path=16";
-    "inter[bloom]#19 del=true as=10 ptr=2 cache=0 peer=1 back=0 breadth=61 path=11";
-    "inter[bloom]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 breadth=5 path=6";
-    "inter[bloom]#21 del=true as=14 ptr=3 cache=1 peer=0 back=0 breadth=47 path=15";
-    "inter[bloom]#22 del=true as=14 ptr=3 cache=0 peer=1 back=0 breadth=-1 path=15";
-    "inter[bloom]#23 del=true as=5 ptr=1 cache=1 peer=0 back=0 breadth=0 path=6";
-    "inter[bloom]#24 del=true as=12 ptr=2 cache=1 peer=1 back=0 breadth=47 path=13";
-    "inter[bloom]#25 del=false as=7 ptr=2 cache=1 peer=0 back=0 breadth=12 path=8";
-    "inter[bloom]#26 del=false as=17 ptr=4 cache=3 peer=0 back=0 breadth=-1 path=18";
+    "inter[bloom]#0 del=true as=10 ptr=2 cache=0 peer=1 back=0 path=11";
+    "inter[bloom]#1 del=true as=9 ptr=2 cache=1 peer=0 back=0 path=10";
+    "inter[bloom]#2 del=true as=11 ptr=3 cache=1 peer=0 back=0 path=12";
+    "inter[bloom]#3 del=true as=11 ptr=2 cache=0 peer=0 back=0 path=12";
+    "inter[bloom]#4 del=true as=9 ptr=1 cache=0 peer=1 back=0 path=10";
+    "inter[bloom]#5 del=true as=7 ptr=2 cache=0 peer=0 back=0 path=8";
+    "inter[bloom]#6 del=true as=7 ptr=3 cache=1 peer=0 back=0 path=8";
+    "inter[bloom]#7 del=true as=9 ptr=2 cache=1 peer=0 back=0 path=10";
+    "inter[bloom]#8 del=true as=10 ptr=2 cache=1 peer=1 back=0 path=11";
+    "inter[bloom]#9 del=true as=5 ptr=1 cache=1 peer=0 back=0 path=6";
+    "inter[bloom]#10 del=true as=15 ptr=3 cache=0 peer=0 back=0 path=16";
+    "inter[bloom]#11 del=true as=3 ptr=1 cache=0 peer=0 back=0 path=4";
+    "inter[bloom]#12 del=true as=9 ptr=1 cache=0 peer=1 back=0 path=10";
+    "inter[bloom]#13 del=true as=9 ptr=2 cache=0 peer=0 back=0 path=10";
+    "inter[bloom]#14 del=true as=11 ptr=3 cache=2 peer=0 back=0 path=12";
+    "inter[bloom]#15 del=true as=8 ptr=2 cache=2 peer=0 back=0 path=9";
+    "inter[bloom]#16 del=true as=11 ptr=2 cache=1 peer=1 back=0 path=12";
+    "inter[bloom]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 path=5";
+    "inter[bloom]#18 del=true as=15 ptr=3 cache=1 peer=1 back=0 path=16";
+    "inter[bloom]#19 del=true as=10 ptr=2 cache=0 peer=1 back=0 path=11";
+    "inter[bloom]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 path=6";
+    "inter[bloom]#21 del=true as=14 ptr=3 cache=1 peer=0 back=0 path=15";
+    "inter[bloom]#22 del=true as=14 ptr=3 cache=0 peer=1 back=0 path=15";
+    "inter[bloom]#23 del=true as=5 ptr=1 cache=1 peer=0 back=0 path=6";
+    "inter[bloom]#24 del=true as=12 ptr=2 cache=1 peer=1 back=0 path=13";
+    "inter[bloom]#25 del=false as=7 ptr=2 cache=1 peer=0 back=0 path=8";
+    "inter[bloom]#26 del=false as=17 ptr=4 cache=3 peer=0 back=0 path=18";
     "inter[bloom]-cat data=257";
     "inter[bloom]-cat finger=1582";
     "inter[bloom]-cat join=2562";
@@ -303,33 +304,33 @@ let golden_inter_bloom =
 let golden_inter_fpr =
   [
     "inter[fpr]-joins hosts=120";
-    "inter[fpr]#0 del=true as=10 ptr=2 cache=0 peer=1 back=0 breadth=61 path=11";
-    "inter[fpr]#1 del=true as=28 ptr=6 cache=0 peer=0 back=0 breadth=71 path=29";
-    "inter[fpr]#2 del=true as=11 ptr=1 cache=0 peer=2 back=1 breadth=-1 path=10";
-    "inter[fpr]#3 del=true as=27 ptr=5 cache=0 peer=0 back=0 breadth=-1 path=28";
-    "inter[fpr]#4 del=true as=8 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=9";
-    "inter[fpr]#5 del=true as=9 ptr=2 cache=0 peer=1 back=1 breadth=19 path=8";
-    "inter[fpr]#6 del=true as=8 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=9";
-    "inter[fpr]#7 del=true as=16 ptr=4 cache=0 peer=1 back=1 breadth=61 path=15";
-    "inter[fpr]#8 del=true as=6 ptr=3 cache=0 peer=0 back=0 breadth=9 path=7";
-    "inter[fpr]#9 del=true as=11 ptr=1 cache=0 peer=2 back=1 breadth=31 path=10";
-    "inter[fpr]#10 del=true as=7 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=8";
-    "inter[fpr]#11 del=true as=11 ptr=3 cache=0 peer=1 back=1 breadth=30 path=10";
-    "inter[fpr]#12 del=true as=10 ptr=1 cache=0 peer=1 back=0 breadth=-1 path=11";
-    "inter[fpr]#13 del=true as=7 ptr=1 cache=0 peer=0 back=0 breadth=-1 path=8";
-    "inter[fpr]#14 del=true as=54 ptr=12 cache=0 peer=1 back=0 breadth=-1 path=55";
-    "inter[fpr]#15 del=true as=9 ptr=2 cache=0 peer=1 back=0 breadth=71 path=10";
-    "inter[fpr]#16 del=true as=16 ptr=2 cache=0 peer=1 back=0 breadth=-1 path=17";
-    "inter[fpr]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 breadth=16 path=5";
-    "inter[fpr]#18 del=true as=35 ptr=6 cache=0 peer=1 back=0 breadth=-1 path=36";
-    "inter[fpr]#19 del=true as=14 ptr=2 cache=0 peer=2 back=1 breadth=61 path=13";
-    "inter[fpr]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 breadth=5 path=6";
-    "inter[fpr]#21 del=true as=15 ptr=2 cache=0 peer=2 back=1 breadth=47 path=14";
-    "inter[fpr]#22 del=true as=20 ptr=4 cache=0 peer=2 back=1 breadth=-1 path=19";
-    "inter[fpr]#23 del=true as=13 ptr=2 cache=0 peer=1 back=0 breadth=61 path=14";
-    "inter[fpr]#24 del=true as=23 ptr=7 cache=0 peer=1 back=1 breadth=30 path=22";
-    "inter[fpr]#25 del=false as=11 ptr=3 cache=0 peer=0 back=0 breadth=-1 path=12";
-    "inter[fpr]#26 del=false as=37 ptr=10 cache=0 peer=3 back=3 breadth=-1 path=32";
+    "inter[fpr]#0 del=true as=10 ptr=2 cache=0 peer=1 back=0 path=11";
+    "inter[fpr]#1 del=true as=28 ptr=6 cache=0 peer=0 back=0 path=29";
+    "inter[fpr]#2 del=true as=11 ptr=1 cache=0 peer=2 back=1 path=10";
+    "inter[fpr]#3 del=true as=27 ptr=5 cache=0 peer=0 back=0 path=28";
+    "inter[fpr]#4 del=true as=8 ptr=1 cache=0 peer=1 back=0 path=9";
+    "inter[fpr]#5 del=true as=9 ptr=2 cache=0 peer=1 back=1 path=8";
+    "inter[fpr]#6 del=true as=8 ptr=1 cache=0 peer=1 back=0 path=9";
+    "inter[fpr]#7 del=true as=16 ptr=4 cache=0 peer=1 back=1 path=15";
+    "inter[fpr]#8 del=true as=6 ptr=3 cache=0 peer=0 back=0 path=7";
+    "inter[fpr]#9 del=true as=11 ptr=1 cache=0 peer=2 back=1 path=10";
+    "inter[fpr]#10 del=true as=7 ptr=1 cache=0 peer=1 back=0 path=8";
+    "inter[fpr]#11 del=true as=11 ptr=3 cache=0 peer=1 back=1 path=10";
+    "inter[fpr]#12 del=true as=10 ptr=1 cache=0 peer=1 back=0 path=11";
+    "inter[fpr]#13 del=true as=7 ptr=1 cache=0 peer=0 back=0 path=8";
+    "inter[fpr]#14 del=true as=54 ptr=12 cache=0 peer=1 back=0 path=55";
+    "inter[fpr]#15 del=true as=9 ptr=2 cache=0 peer=1 back=0 path=10";
+    "inter[fpr]#16 del=true as=16 ptr=2 cache=0 peer=1 back=0 path=17";
+    "inter[fpr]#17 del=true as=4 ptr=1 cache=0 peer=0 back=0 path=5";
+    "inter[fpr]#18 del=true as=35 ptr=6 cache=0 peer=1 back=0 path=36";
+    "inter[fpr]#19 del=true as=14 ptr=2 cache=0 peer=2 back=1 path=13";
+    "inter[fpr]#20 del=true as=5 ptr=2 cache=0 peer=0 back=0 path=6";
+    "inter[fpr]#21 del=true as=15 ptr=2 cache=0 peer=2 back=1 path=14";
+    "inter[fpr]#22 del=true as=20 ptr=4 cache=0 peer=2 back=1 path=19";
+    "inter[fpr]#23 del=true as=13 ptr=2 cache=0 peer=1 back=0 path=14";
+    "inter[fpr]#24 del=true as=23 ptr=7 cache=0 peer=1 back=1 path=22";
+    "inter[fpr]#25 del=false as=11 ptr=3 cache=0 peer=0 back=0 path=12";
+    "inter[fpr]#26 del=false as=37 ptr=10 cache=0 peer=3 back=3 path=32";
     "inter[fpr]-cat data=425";
     "inter[fpr]-cat join=2562";
     "inter[fpr]-cat join-reply=1186";
